@@ -204,4 +204,5 @@ class GmaDevice:
         self.view.tlb.misses = 0
         self.view.tlb.mru_hits = 0
         self.view.tlb.vector_hits = 0
+        self.view.gtt_walks = 0
         self.view.batched_translations = 0

@@ -16,7 +16,7 @@ shred-level parallelism the first-order performance factor on this device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -83,9 +83,6 @@ class _Context:
         self.current: Optional[ShredRun] = None
         self.start_time = 0.0
 
-    def has_work(self) -> bool:
-        return self.trace is not None or self.qidx < len(self.queue)
-
 
 def simulate_device(runs: Sequence[ShredRun], config: GmaTimingConfig,
                     not_before: Optional[Dict[int, float]] = None,
@@ -95,6 +92,11 @@ def simulate_device(runs: Sequence[ShredRun], config: GmaTimingConfig,
     ``not_before`` gives per-shred earliest start times (producer/consumer
     dependencies); ``extra_bytes`` adds memory traffic that competes for
     device bandwidth (e.g. overlapped cache flushing).
+
+    An ungated EU whose traces equal those of an ungated EU already
+    simulated in this call reuses that EU's schedule (gang launches
+    retire the same trace on every shred, so the 8 EUs usually share
+    one or two distinct queue shapes); every other EU is simulated.
     """
     not_before = not_before or {}
     nctx = config.num_sequencers
@@ -110,14 +112,30 @@ def simulate_device(runs: Sequence[ShredRun], config: GmaTimingConfig,
     finish: Dict[int, float] = {}
     spans: Dict[int, tuple] = {}
     reports = []
-    per_eu = config.threads_per_eu
+    #: ungated EUs simulated so far: (slot queues, report, finish, spans)
+    simulated: List[tuple] = []
     for eu in range(config.num_eus):
-        ctxs = [
-            _Context(queues[eu * per_eu + slot], slot)
-            for slot in range(per_eu)
-        ]
-        report = _simulate_eu(ctxs, not_before, finish, spans, eu)
+        eu_queues = queues[eu * per_eu:(eu + 1) * per_eu]
+        ungated = not any(not_before.get(run.shred.shred_id, 0.0) > 0.0
+                          for queue in eu_queues for run in queue)
+        src = next((entry for entry in simulated
+                    if _same_traces(entry[0], eu_queues)),
+                   None) if ungated else None
+        if src is not None:
+            src_queues, src_report, src_finish, src_spans = src
+            reports.append(replace(src_report))
+            _reuse_schedule(src_queues, eu_queues, src_finish, src_spans,
+                            finish, spans, eu)
+            continue
+        eu_finish: Dict[int, float] = {}
+        eu_spans: Dict[int, tuple] = {}
+        ctxs = [_Context(queue, slot) for slot, queue in enumerate(eu_queues)]
+        report = _simulate_eu(ctxs, not_before, eu_finish, eu_spans, eu)
         reports.append(report)
+        finish.update(eu_finish)
+        spans.update(eu_spans)
+        if ungated:
+            simulated.append((eu_queues, report, eu_finish, eu_spans))
 
     total_bytes = sum(r.bytes_total for r in runs) + extra_bytes
     bandwidth_cycles = total_bytes / config.mem_bytes_per_cycle
@@ -132,6 +150,39 @@ def simulate_device(runs: Sequence[ShredRun], config: GmaTimingConfig,
         finish_times=finish,
         spans=spans,
     )
+
+
+def _same_traces(a: Sequence[List[ShredRun]],
+                 b: Sequence[List[ShredRun]]) -> bool:
+    """Do two EUs hold equal traces, slot by slot and position by
+    position?  Then, ungated, their schedules are identical."""
+    for qa, qb in zip(a, b):
+        if len(qa) != len(qb):
+            return False
+    return all(ra.trace == rb.trace
+               for qa, qb in zip(a, b) for ra, rb in zip(qa, qb))
+
+
+def _reuse_schedule(src_queues: Sequence[List[ShredRun]],
+                    eu_queues: Sequence[List[ShredRun]],
+                    src_finish: Dict[int, float],
+                    src_spans: Dict[int, tuple],
+                    finish: Dict[int, float], spans: Dict[int, tuple],
+                    eu_index: int) -> None:
+    """Copy an identical ungated EU's finish times and spans onto this
+    EU's shreds, in the order the simulation recorded them.
+
+    Without dependency gates an EU's schedule is a function of its slot
+    queues' traces alone, so the per-EU event loop would replay exactly
+    the same steps: only the shred ids and the EU index differ.
+    """
+    ids = {ra.shred.shred_id: rb.shred.shred_id
+           for qa, qb in zip(src_queues, eu_queues)
+           for ra, rb in zip(qa, qb)}
+    for sid, (start, end, _, slot) in src_spans.items():
+        dst = ids[sid]
+        finish[dst] = src_finish[sid]
+        spans[dst] = (start, end, eu_index, slot)
 
 
 def _simulate_eu(ctxs: List[_Context], not_before: Dict[int, float],

@@ -73,9 +73,10 @@ Accounting is bit-identical to scalar execution for race-free launches:
 retired instructions go through the shared
 :func:`~repro.gma.interpreter.account_instruction`, and the device
 cache's order-dependent first-touch line charging is likewise deferred —
-every access logs its span and the log replays per shred in queue order
-after the gang drains, exactly as the scalar engine would have charged
-it.
+every committed lockstep memory step logs one gang-wide span record,
+per-shred steps log their spans on the shred, and after the gang drains
+each line is charged to the lowest-queue shred that touched it, exactly
+as the scalar engine's queue-order execution would have charged it.
 """
 
 from __future__ import annotations
@@ -132,9 +133,11 @@ class GangShredContext(ShredContext):
 
     First-touch 64-byte-line charging is order dependent across shreds;
     under lockstep the interleaving differs from the scalar engine's
-    queue-order execution.  Device-side spans are therefore logged and
-    replayed per shred in queue order by :func:`_replay_charges`.  Proxy
-    (CEH) accesses charge raw bytes immediately — they are order
+    queue-order execution.  Device-side spans of per-shred steps
+    (reference steps and deferred peels) are therefore logged here and
+    charged after the drain by :func:`_replay_charges`, together with
+    the gang-wide records of lockstep memory steps.  Proxy (CEH)
+    accesses charge raw bytes immediately — they are order
     independent — exactly as the base class does.
     """
 
@@ -167,6 +170,11 @@ class GangOutcome:
     megaop_deopts: int = 0    # megaop guard failures (divergence/fault)
     gang_repacks: int = 0     # reconvergence merges that re-admitted lanes
     lanes_readmitted: int = 0  # suspended sub-gang lanes merged back
+    #: Device spans of committed lockstep memory steps, one record per
+    #: step: (shred indices, span starts [lanes x rows], span sizes
+    #: broadcastable to the starts, write).  Charged and cleared by
+    #: :func:`_replay_charges` once the gang drains.
+    span_log: List[tuple] = field(default_factory=list, repr=False)
 
 
 #: A surviving gang re-compacts into a dense pack only when it keeps at
@@ -632,7 +640,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
         for shred in shreds:
             live_contexts.pop(shred.shred_id, None)
 
-    _replay_charges(device, ctxs, recs)
+    _replay_charges(device, ctxs, recs, outcome.span_log)
     outcome.batched_translations = (device.view.batched_translations
                                     - base_batched_translations)
     outcome.tlb_vector_hits = (device.view.tlb.vector_hits
@@ -870,14 +878,6 @@ def _gang_surface(name, ctxs, active):
     return ref, deltas
 
 
-def _lane_bases(surf, deltas, count: int) -> np.ndarray:
-    """Per-lane surface base addresses for deferred charge logging."""
-    bases = np.full(count, surf.base, dtype=np.int64)
-    if deltas is not None:
-        bases += deltas
-    return bases
-
-
 def _type_ok(surf, ty: DataType) -> bool:
     """Mirror of ``ShredContext._check_type`` (False -> per-shred fault)."""
     return ty.size == surf.dtype.size and ty.is_float == surf.dtype.is_float
@@ -957,7 +957,10 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
         if deltas is not None:
             addrs = addrs + deltas[:, None]
         esize = surf.esize
-        bases = _lane_bases(surf, deltas, len(active))
+        lanes = np.asarray(active, dtype=np.int64)
+        span_lo = (surf.base + index * esize)[:, None]
+        if deltas is not None:
+            span_lo = span_lo + deltas[:, None]
         mask = _batched_guard_mask(instr, rows, n, P)
 
         if op is Opcode.LD:
@@ -966,10 +969,7 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
                 np.float64)
             _write_masked_batched(instr.dsts[0], rows, values, mask, ty, n,
                                   V, P, ctxs, active)
-            for pos, i in enumerate(active):
-                ctxs[i].charge_log.append(
-                    (int(bases[pos]) + int(index[pos]) * esize,
-                     n * esize, False))
+            outcome.span_log.append((lanes, span_lo, n * esize, False))
             return (_retire_mem(pre, Effect(), active, recs, config,
                                 outcome) if account else True)
 
@@ -995,14 +995,9 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
         if mask is not None:
             old = phys.gather(paddrs, surf.dtype.np_dtype).astype(np.float64)
             values = np.where(mask, values, old)
-            for pos, i in enumerate(active):
-                ctxs[i].charge_log.append(
-                    (int(bases[pos]) + int(index[pos]) * esize,
-                     n * esize, False))
+            outcome.span_log.append((lanes, span_lo, n * esize, False))
         phys.scatter(paddrs, np.asarray(values).astype(surf.dtype.np_dtype))
-        for pos, i in enumerate(active):
-            ctxs[i].charge_log.append(
-                (int(bases[pos]) + int(index[pos]) * esize, n * esize, True))
+        outcome.span_log.append((lanes, span_lo, n * esize, True))
         return (_retire_mem(pre, Effect(), active, recs, config,
                             outcome) if account else True)
 
@@ -1044,13 +1039,9 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
             if deltas is not None:
                 lo = lo + deltas[:, None]
                 hi = hi + deltas[:, None]
-            span_lo = np.minimum(lo, hi - 1)
-            span_sz = np.maximum(hi - lo, esize)
-            for pos, i in enumerate(active):
-                log = ctxs[i].charge_log
-                for r in range(h):
-                    log.append((int(span_lo[pos, r]),
-                                int(span_sz[pos, r]), False))
+            outcome.span_log.append((np.asarray(active, dtype=np.int64),
+                                     np.minimum(lo, hi - 1),
+                                     np.maximum(hi - lo, esize), False))
             return (_retire_mem(pre, Effect(), active, recs, config,
                                 outcome) if account else True)
 
@@ -1084,13 +1075,9 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
         if deltas is not None:
             lo = lo + deltas[:, None]
             hi = hi + deltas[:, None]
-        span_lo = np.minimum(lo, hi - 1)
-        span_sz = np.maximum(hi - lo, esize)
-        for pos, i in enumerate(active):
-            log = ctxs[i].charge_log
-            for r in range(h):
-                log.append((int(span_lo[pos, r]),
-                            int(span_sz[pos, r]), True))
+        outcome.span_log.append((np.asarray(active, dtype=np.int64),
+                                 np.minimum(lo, hi - 1),
+                                 np.maximum(hi - lo, esize), True))
         return (_retire_mem(pre, Effect(), active, recs, config,
                             outcome) if account else True)
 
@@ -1169,26 +1156,68 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
 
 
 def _replay_charges(device, ctxs: Sequence[GangShredContext],
-                    recs: Sequence[ShredRun]) -> None:
-    """Replay deferred device spans per shred in queue order.
+                    recs: Sequence[ShredRun], span_log: List[tuple]) -> None:
+    """Charge every deferred device span's first-touch lines.
 
-    This reproduces the scalar engine's charging exactly: it walks each
-    shred's complete access log against the device's first-touch line
-    sets before moving to the next shred, which is the order the scalar
-    engine executes in.
+    The scalar engine runs shreds to completion one after another in
+    queue order, so each 64-byte line is charged exactly once: to the
+    lowest-queue shred that touches it, unless an access earlier in the
+    device run (already in ``touched_*_lines``) touched it first.  A
+    shred's charge therefore depends only on its own lines and on the
+    lines of the shreds before it in queue order — never on the order
+    of its own accesses — so the gang-wide step records and the
+    per-shred logs are charged together as one set computation per
+    direction, exactly as the scalar engine would have charged them.
     """
     line = ShredContext._LINE
-    for ctx, rec in zip(ctxs, recs):
-        for lo, nbytes, write in ctx.charge_log:
-            lines = device.touched_write_lines if write \
-                else device.touched_read_lines
-            first = lo // line
-            last = (lo + max(nbytes, 1) - 1) // line
-            fresh = [ln for ln in range(first, last + 1) if ln not in lines]
-            lines.update(fresh)
-            charge = len(fresh) * line
+    count = len(recs)
+    parts = {False: [], True: []}  # write -> [(owners, starts, sizes)]
+    for lanes, lo, size, write in span_log:
+        parts[write].append((np.repeat(lanes, lo.shape[1]), lo.ravel(),
+                             np.broadcast_to(size, lo.shape).ravel()))
+    span_log.clear()
+    logged = [(q, lo, nbytes, write) for q, ctx in enumerate(ctxs)
+              for lo, nbytes, write in ctx.charge_log]
+    if logged:
+        table = np.array(logged, dtype=np.int64)
+        for write in (False, True):
+            parts[write].append(tuple(table[table[:, 3] == write, :3].T))
+        for ctx in ctxs:
+            ctx.charge_log.clear()
+    for write, chunks in parts.items():
+        if not chunks:
+            continue
+        owner, lo, size = (np.concatenate(c) for c in zip(*chunks))
+        if not len(owner):
+            continue
+        first = lo // line
+        nlines = (lo + np.maximum(size, 1) - 1) // line - first + 1
+        if (nlines > 1).any():
+            # expand multi-line spans to one entry per line
+            owner = np.repeat(owner, nlines)
+            offsets = np.arange(len(owner)) - np.repeat(
+                np.cumsum(nlines) - nlines, nlines)
+            first = np.repeat(first, nlines) + offsets
+        # one sort orders entries by line, then by owner: the head of
+        # each line's group is its lowest-queue toucher
+        key = np.sort(first * count + owner)
+        lines = key // count
+        head = np.empty(len(key), dtype=bool)
+        head[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=head[1:])
+        lines = lines[head]
+        owner = key[head] - lines * count
+        touched = device.touched_write_lines if write \
+            else device.touched_read_lines
+        if touched:
+            fresh = ~np.isin(lines, np.fromiter(touched, dtype=np.int64,
+                                                count=len(touched)))
+            lines = lines[fresh]
+            owner = owner[fresh]
+        touched.update(lines.tolist())
+        charges = np.bincount(owner, minlength=count) * line
+        for rec, charge in zip(recs, charges.tolist()):
             if write:
                 rec.bytes_written += charge
             else:
                 rec.bytes_read += charge
-        ctx.charge_log.clear()

@@ -190,7 +190,19 @@ class TestMaintenance:
         device.invalidate_tlb()
         assert len(device.view.tlb) == 0
 
-    def test_reset_counters(self, device):
+    def test_reset_counters(self, device, space):
+        out = alloc_dw(space, "OUT", 1)
+        program = assemble("st.1.dw (OUT, 0, 0) = 1\nend")
+        device.run([ShredDescriptor(program=program, surfaces={"OUT": out})])
+        # the translation now sits in the GTT but not in the TLB: the
+        # next launch's store misses the TLB and walks the GTT
+        device.invalidate_tlb()
+        device.run([ShredDescriptor(program=program, surfaces={"OUT": out})])
+        view = device.view
+        assert view.gtt_walks > 0 and view.tlb.misses > 0
         device.sampler.samples = 10
         device.reset_counters()
         assert device.sampler.samples == 0
+        assert (view.tlb.hits, view.tlb.misses, view.tlb.mru_hits,
+                view.tlb.vector_hits, view.gtt_walks,
+                view.batched_translations) == (0, 0, 0, 0, 0, 0)

@@ -201,3 +201,55 @@ class TestLockstepClosedForm:
         fast, slow = None, None
         slow, fast = self._both(trace, n)
         assert fast == slow
+
+
+def _per_eu_reference(runs, not_before):
+    """``simulate_device``'s EU pass without schedule reuse: every EU
+    runs ``_simulate_eu`` on its own queues."""
+    from repro.gma.eu import _Context, _simulate_eu
+    per_eu = CONFIG.threads_per_eu
+    queues = [[] for _ in range(CONFIG.num_sequencers)]
+    for i, run in enumerate(runs):
+        eu = i % CONFIG.num_eus
+        queues[eu * per_eu + (i // CONFIG.num_eus) % per_eu].append(run)
+    finish, spans, reports = {}, {}, []
+    for eu in range(CONFIG.num_eus):
+        ctxs = [_Context(queues[eu * per_eu + slot], slot)
+                for slot in range(per_eu)]
+        reports.append(_simulate_eu(ctxs, not_before, finish, spans, eu))
+    return reports, finish, spans
+
+
+@st.composite
+def _eu_launches(draw):
+    """Shred traces from a small pool, so whole EUs repeat, plus gates."""
+    step = st.tuples(st.integers(1, 3), st.integers(0, 80))
+    pool = draw(st.lists(st.lists(step, min_size=1, max_size=12),
+                         min_size=1, max_size=3))
+    count = draw(st.integers(1, 75).filter(lambda n: n % 32))
+    # a trace per round of the EU-major dispatch makes every EU equal;
+    # overrides then make some EUs (or single slots) distinct
+    rounds = draw(st.lists(st.integers(0, len(pool) - 1),
+                           min_size=-(-count // CONFIG.num_eus),
+                           max_size=-(-count // CONFIG.num_eus)))
+    picks = [rounds[i // CONFIG.num_eus] for i in range(count)]
+    for i in draw(st.lists(st.integers(0, count - 1), max_size=4)):
+        picks[i] = draw(st.integers(0, len(pool) - 1))
+    runs = [make_run(pool[k]) for k in picks]
+    gated = draw(st.lists(st.integers(0, count - 1), max_size=3))
+    not_before = {runs[i].shred.shred_id: float(draw(st.integers(0, 300)))
+                  for i in gated}
+    return runs, not_before
+
+
+@given(_eu_launches())
+def test_eu_reuse_matches_per_eu_reference(launch):
+    """Reusing an identical ungated EU's schedule is exact: reports,
+    finish times and spans (in recording order) match simulating every
+    EU on its own."""
+    runs, not_before = launch
+    timing = simulate_device(runs, CONFIG, not_before=dict(not_before))
+    reports, finish, spans = _per_eu_reference(runs, dict(not_before))
+    assert timing.eu_reports == reports
+    assert list(timing.finish_times.items()) == list(finish.items())
+    assert list(timing.spans.items()) == list(spans.items())

@@ -8,11 +8,17 @@ actually retire lanes through the batched gather/scatter pipeline
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exo.shred import ShredDescriptor
 from repro.gma.device import GmaDevice
+from repro.gma.gang import _replay_charges
+from repro.gma.interpreter import ShredRun
 from repro.isa.assembler import assemble
 from repro.isa.types import DataType
 from repro.memory.address_space import AddressSpace
@@ -267,3 +273,86 @@ def test_sampler_reads_batched():
     assert scalar[0].runs[0].sampler_samples > 0
     assert gang[0].scalar_fallbacks == 0
     assert gang[0].batched_mem_lanes > 0
+
+
+# ---------------------------------------------------------------------------
+# deferred first-touch charging: numpy replay vs the per-shred set walk
+# ---------------------------------------------------------------------------
+
+def _set_walk_oracle(touched, logs, recs):
+    """Walk each shred's spans against the first-touch line sets, one
+    shred after another in queue order (the scalar engine's order)."""
+    line = 64
+    for log, rec in zip(logs, recs):
+        for lo, nbytes, write in log:
+            lines = touched[write]
+            first = lo // line
+            last = (lo + max(nbytes, 1) - 1) // line
+            fresh = [ln for ln in range(first, last + 1) if ln not in lines]
+            lines.update(fresh)
+            if write:
+                rec.bytes_written += len(fresh) * line
+            else:
+                rec.bytes_read += len(fresh) * line
+
+
+_span_start = st.integers(0, 40 * 64)
+_span_size = st.sampled_from([0, 1, 4, 16, 63, 64, 65, 200])
+
+
+@st.composite
+def _charge_logs(draw):
+    """Lockstep step records and per-shred spans over a few shreds."""
+    count = draw(st.integers(2, 6))
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        lanes = sorted(draw(st.sets(st.integers(0, count - 1), min_size=1)))
+        nrows = draw(st.integers(1, 3))
+        lo = np.array([[draw(_span_start) for _ in range(nrows)]
+                       for _ in lanes], dtype=np.int64)
+        if draw(st.booleans()):
+            size = draw(_span_size)  # ld/st: one size for every lane
+        else:
+            size = np.array([[draw(_span_size) for _ in range(nrows)]
+                             for _ in lanes], dtype=np.int64)
+        records.append((np.asarray(lanes, dtype=np.int64), lo, size,
+                        draw(st.booleans())))
+    scalar = [draw(st.lists(st.tuples(_span_start, _span_size,
+                                      st.booleans()), max_size=4))
+              for _ in range(count)]
+    touched = {write: draw(st.sets(st.integers(0, 45), max_size=10))
+               for write in (False, True)}
+    return count, records, scalar, touched
+
+
+@given(_charge_logs())
+def test_replay_charges_matches_set_walk(case):
+    """The numpy replay charges the same bytes per shred, and leaves the
+    same touched sets, as walking every shred's spans in queue order —
+    zero-byte and multi-line spans and pre-touched lines included."""
+    count, records, scalar, touched = case
+    program = assemble("end")
+    recs = [ShredRun(shred=ShredDescriptor(program=program))
+            for _ in range(count)]
+    expected = [ShredRun(shred=rec.shred) for rec in recs]
+    logs = [[] for _ in range(count)]
+    for lanes, lo, size, write in records:
+        sizes = np.broadcast_to(size, lo.shape)
+        for pos, q in enumerate(lanes):
+            logs[q].extend((int(a), int(b), write)
+                           for a, b in zip(lo[pos], sizes[pos]))
+    for q in range(count):
+        logs[q].extend(scalar[q])
+    oracle_touched = {w: set(lines) for w, lines in touched.items()}
+    _set_walk_oracle(oracle_touched, logs, expected)
+
+    device = SimpleNamespace(touched_read_lines=set(touched[False]),
+                             touched_write_lines=set(touched[True]))
+    ctxs = [SimpleNamespace(charge_log=list(log)) for log in scalar]
+    span_log = list(records)
+    _replay_charges(device, ctxs, recs, span_log)
+    assert [(r.bytes_read, r.bytes_written) for r in recs] == \
+        [(r.bytes_read, r.bytes_written) for r in expected]
+    assert device.touched_read_lines == oracle_touched[False]
+    assert device.touched_write_lines == oracle_touched[True]
+    assert not span_log and not any(ctx.charge_log for ctx in ctxs)
