@@ -23,8 +23,7 @@ benchmark measures that change two ways:
   instructions/second and >= 50% gang residency (share of instructions
   retired ganged) even though the lanes disagree at every branch;
 * the full kernel suite at smoke geometries (the per-kernel speedup
-  table CI publishes), plus a 4-device fabric drain with and without
-  ``parallel=True``.
+  table CI publishes).
 
 Run standalone::
 
@@ -43,7 +42,6 @@ import os
 import sys
 import time
 
-from repro.chi import ChiRuntime, ExoPlatform
 from repro.exo.shred import ShredDescriptor
 from repro.gma.device import GmaDevice
 from repro.isa import predecode
@@ -302,35 +300,6 @@ def measure_all_kernels(repeats: int = 1) -> dict:
     return table
 
 
-def measure_parallel_fabric(parallel, devices: int = 4,
-                            shreds: int = DEFAULT_SHREDS,
-                            iters: int = DEFAULT_ITERS) -> dict:
-    """One gang-engine region spread over a fabric, serial vs threaded.
-
-    ``parallel`` takes the ``drain_devices`` spellings: ``False``,
-    ``True`` (threads only above ``PARALLEL_DRAIN_MIN_SHREDS`` per
-    device) or ``"force"`` (threads unconditionally).
-    """
-    platform = ExoPlatform(num_gma_devices=devices, gma_engine="gang")
-    runtime = ChiRuntime(platform, parallel_fabric=parallel)
-    started = time.perf_counter()
-    region = runtime.parallel(HOMOGENEOUS_ASM, num_threads=shreds,
-                              firstprivate={"iters": float(iters)})
-    wall = time.perf_counter() - started
-    result = region.wait()
-    return {
-        "parallel": parallel if isinstance(parallel, bool) else str(parallel),
-        "devices": devices,
-        "instructions": result.instructions,
-        "wall_seconds": wall,
-        "drain_mode": result.reports[0].drain_mode,
-        "device_wall_seconds": {r.device: r.wall_seconds
-                                for r in result.reports},
-        "gang_lanes_retired": result.gang_lanes_retired,
-        "scalar_fallbacks": result.scalar_fallbacks,
-    }
-
-
 def compare(shreds: int = DEFAULT_SHREDS, iters: int = DEFAULT_ITERS) -> dict:
     scalar = measure_homogeneous("scalar", shreds, iters)
     gang = measure_homogeneous("gang", shreds, iters)
@@ -346,9 +315,6 @@ def compare(shreds: int = DEFAULT_SHREDS, iters: int = DEFAULT_ITERS) -> dict:
         "divergent": measure_divergent_table(shreds),
         "kernel": kernel,
         "kernels": measure_all_kernels(),
-        "fabric": {"serial": measure_parallel_fabric(False),
-                   "parallel": measure_parallel_fabric("force"),
-                   "auto": measure_parallel_fabric(True)},
         "speedup": (gang["instructions_per_second"]
                     / scalar["instructions_per_second"]),
         "fusion_speedup": (fused["instructions_per_second"]
@@ -424,13 +390,6 @@ def report(outcome: dict) -> str:
         lines.append(f"    {name:14s} {row['fused_blocks_retired']:7d} "
                      f"{row['trace_chains']:7d} {row['fusion_compiles']:8d} "
                      f"{fallback:8.0%}")
-    fab = outcome["fabric"]
-    lines.append(
-        f"  4-device fabric drain: serial "
-        f"{fab['serial']['wall_seconds'] * 1e3:.2f}ms, threaded "
-        f"{fab['parallel']['wall_seconds'] * 1e3:.2f}ms, "
-        f"auto {fab['auto']['wall_seconds'] * 1e3:.2f}ms "
-        f"(chose {fab['auto']['drain_mode']})")
     m = homo["gang"]
     total = m["predecode_hits"] + m["predecode_misses"]
     rate = m["predecode_hits"] / total if total else 0.0
@@ -574,23 +533,6 @@ def test_divergent_gang_beats_scalar():
                    / scalar["instructions_per_second"])
         assert speedup >= CHECK_DIVERGENT, \
             f"gang only {speedup:.2f}x scalar on {name}"
-
-
-def test_parallel_fabric_same_results():
-    serial = measure_parallel_fabric(False)
-    threaded = measure_parallel_fabric("force")
-    assert serial["instructions"] == threaded["instructions"]
-    assert serial["gang_lanes_retired"] == threaded["gang_lanes_retired"]
-    assert all(w > 0.0 for w in threaded["device_wall_seconds"].values())
-    assert serial["drain_mode"] == "serial"
-    assert threaded["drain_mode"] == "parallel"
-
-
-def test_auto_drain_falls_back_serial_when_small():
-    """The losing default, fixed: 8 shreds/device is below the threshold,
-    so ``parallel=True`` must choose a serial drain."""
-    auto = measure_parallel_fabric(True)
-    assert auto["drain_mode"] == "serial"
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,7 @@ from ..fabric.dispatcher import (
     dependency_groups,
     drain_devices,
 )
+from ..gma.counters import EngineCounters
 from ..gma.firmware import GmaRunResult
 from ..isa.assembler import assemble
 from ..isa.program import Program
@@ -144,17 +145,9 @@ class ChiRuntime:
     """The user-level runtime layer over one :class:`ExoPlatform`."""
 
     def __init__(self, platform: Optional[ExoPlatform] = None,
-                 fatbinary: Optional[FatBinary] = None,
-                 parallel_fabric: bool = False):
+                 fatbinary: Optional[FatBinary] = None):
         self.platform = platform or ExoPlatform()
         self.fatbinary = fatbinary or FatBinary(name="chi-app")
-        #: Drain multi-device regions on host worker threads (one per
-        #: device).  Simulated time and results are unchanged; only the
-        #: host wall-clock of the drain shrinks.  ``True`` lets the
-        #: dispatcher fall back to serial for small drains (see
-        #: :data:`~repro.fabric.dispatcher.PARALLEL_DRAIN_MIN_SHREDS`);
-        #: ``"force"`` threads unconditionally.
-        self.parallel_fabric = parallel_fabric
         self.timeline = Timeline()
         #: schedule-transform memo: id(program) + uniform bindings ->
         #: (source program kept alive, scheduled program, spec, trials).
@@ -390,8 +383,7 @@ class ChiRuntime:
 
         atr_before = self._atr_counters(devices)
         if len(devices) == 1:
-            reports = drain_devices([(devices[0], shreds)],
-                                    parallel=self._drain_parallel())
+            reports = drain_devices([(devices[0], shreds)])
             result = reports[0].merged_result()
         else:
             reports = self._dispatch_fabric(shreds, devices)
@@ -481,13 +473,7 @@ class ChiRuntime:
                       for shred in item.payload])
             for device in devices
         ]
-        return drain_devices(assignments, parallel=self._drain_parallel())
-
-    def _drain_parallel(self):
-        """Drain mode for this platform: process workers trump threads."""
-        if getattr(self.platform, "fabric_pool", None) is not None:
-            return "process"
-        return self.parallel_fabric
+        return drain_devices(assignments)
 
     def _data_copy_seconds(self, shreds: List[ShredDescriptor]) -> float:
         """Explicit copies for the no-shared-virtual-memory configuration:
@@ -567,14 +553,15 @@ class ChiRuntime:
         self.platform.fabric.require(target, executing=True)
 
 
-@dataclass
-class RuntimeStats:
+@dataclass(kw_only=True)
+class RuntimeStats(EngineCounters):
     """Aggregate accounting across the runtime's lifetime.
 
     ``gma_seconds`` accumulates *region spans* (devices drain
     concurrently, so each region contributes its slowest device);
     ``device_seconds`` / ``device_shreds`` break the same work down per
     fabric device, where the busy times of a multi-device region sum.
+    The engine counters it inherits sum every engine region's.
     """
 
     regions: int = 0
@@ -589,49 +576,15 @@ class RuntimeStats:
     #: Per-device translation accounting: TLB hits/misses, GTT hardware
     #: walks, and shootdown broadcasts the device's view absorbed.
     device_atr: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Execution-engine accounting (the gang engine and its predecode
-    #: cache): instructions retired while ganged, shreds that fell back
-    #: to the scalar interpreter, and decode-cache hits/misses.
-    gang_lanes_retired: int = 0
-    scalar_fallbacks: int = 0
-    predecode_hits: int = 0
-    predecode_misses: int = 0
-    #: Lockstep memory pipeline: lanes retired through the batched
-    #: gather/scatter path, pages resolved by the vectorized translate,
-    #: and pages served straight from the TLB's vector snapshot.
-    batched_mem_lanes: int = 0
-    batched_translations: int = 0
-    tlb_vector_hits: int = 0
-    #: Superblock trace fusion (``engine="fused"``): whole blocks
-    #: retired by the fused executor, uniform branches chained
-    #: block-to-block, and blocks compiled (first-run cost).
-    fused_blocks_retired: int = 0
-    trace_chains: int = 0
-    fusion_compiles: int = 0
-    #: Megaop tier (``engine="megaop"``): whole hot-trace traversals
-    #: retired in one call, hot cycles promoted (compiled), and guard
-    #: failures that deopted back to the fused loop.
-    megaops_retired: int = 0
-    megaop_compiles: int = 0
-    megaop_deopts: int = 0
-    #: Divergence repacking: reconvergence merges performed (sub-gangs
-    #: re-admitted into one gang at a join) and the lane count they
-    #: brought back; ``instructions_retired`` accumulates every engine
-    #: region's retired instructions so ``gang_residency_pct`` can be
-    #: derived at any aggregation level (percentages don't sum).
-    gang_repacks: int = 0
-    lanes_readmitted: int = 0
-    instructions_retired: int = 0
-    #: Fabric drain accounting: how many regions drained on worker
-    #: threads vs serially (the dispatcher falls back to serial below
-    #: ``PARALLEL_DRAIN_MIN_SHREDS`` per device even when asked to
-    #: thread; this records what actually ran).
+    #: Instructions retired by every engine region, the total
+    #: ``gang_residency_pct`` is a share of.
+    instructions: int = 0
+    #: Fabric drain accounting: regions drained in process, one device
+    #: after another, vs on out-of-process fabric workers.
     drains_serial: int = 0
-    drains_parallel: int = 0
-    #: Regions drained on out-of-process fabric workers.
     drains_process: int = 0
-    #: Serving-layer accounting (populated by
-    #: :meth:`note_serving` when a :class:`~repro.serving.ExoServer`
+    #: Serving-layer accounting (copied from ``ServingStats`` by
+    #: :meth:`~repro.serving.ExoServer.runtime_stats` when a server
     #: fronts the runtime): sessions opened, launches through the
     #: admission controller, and cross-launch gang coalescing.
     sessions_opened: int = 0
@@ -653,21 +606,16 @@ class RuntimeStats:
         if applied:
             self.schedules_applied += 1
 
+    @property
+    def instructions_retired(self) -> int:
+        """``instructions``, under the name these stats first carried."""
+        return self.instructions
+
     def note_drain(self, mode: str) -> None:
         if mode == "process":
             self.drains_process += 1
-        elif mode == "parallel":
-            self.drains_parallel += 1
         elif mode == "serial":
             self.drains_serial += 1
-
-    def note_serving(self, serving) -> None:
-        """Fold a serving layer's counters in (``ServingStats`` shape)."""
-        self.sessions_opened += serving.sessions_opened
-        self.launches_admitted += serving.launches_admitted
-        self.launches_rejected += serving.launches_rejected
-        self.gangs_coalesced += serving.gangs_coalesced
-        self.coalesced_lanes += serving.coalesced_lanes
 
     def note_device(self, device: str, seconds: float, shreds: int) -> None:
         self.device_seconds[device] = (
@@ -682,30 +630,10 @@ class RuntimeStats:
             bucket[key] = bucket.get(key, 0) + value
 
     def note_engine(self, result) -> None:
-        """Accumulate one region's engine counters (``GmaRunResult`` and
-        ``FabricRunResult`` both expose them; other backends may not)."""
-        self.gang_lanes_retired += getattr(result, "gang_lanes_retired", 0)
-        self.scalar_fallbacks += getattr(result, "scalar_fallbacks", 0)
-        self.predecode_hits += getattr(result, "predecode_hits", 0)
-        self.predecode_misses += getattr(result, "predecode_misses", 0)
-        self.batched_mem_lanes += getattr(result, "batched_mem_lanes", 0)
-        self.batched_translations += getattr(
-            result, "batched_translations", 0)
-        self.tlb_vector_hits += getattr(result, "tlb_vector_hits", 0)
-        self.fused_blocks_retired += getattr(
-            result, "fused_blocks_retired", 0)
-        self.trace_chains += getattr(result, "trace_chains", 0)
-        self.fusion_compiles += getattr(result, "fusion_compiles", 0)
-        self.megaops_retired += getattr(result, "megaops_retired", 0)
-        self.megaop_compiles += getattr(result, "megaop_compiles", 0)
-        self.megaop_deopts += getattr(result, "megaop_deopts", 0)
-        self.gang_repacks += getattr(result, "gang_repacks", 0)
-        self.lanes_readmitted += getattr(result, "lanes_readmitted", 0)
-        self.instructions_retired += getattr(result, "instructions", 0)
-
-    @property
-    def gang_residency_pct(self) -> float:
-        """Share of retired instructions that retired while ganged."""
-        if not self.instructions_retired:
-            return 0.0
-        return 100.0 * self.gang_lanes_retired / self.instructions_retired
+        """Accumulate one region's engine counters and instructions
+        (``GmaRunResult`` and ``FabricRunResult`` hold them; objects
+        without the record, such as other backends' results, add
+        nothing)."""
+        if isinstance(result, EngineCounters):
+            self.add(result)
+            self.instructions += result.instructions

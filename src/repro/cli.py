@@ -24,6 +24,7 @@ from .chi.frontend import lower, sema
 from .chi.platform import ExoPlatform
 from .chi.runtime import ChiRuntime
 from .errors import ReproError
+from .gma.counters import ENGINE_COUNTERS
 from .gma.device import GmaDevice
 from .isa import predecode
 from .isa.disassembler import disassemble
@@ -87,9 +88,6 @@ def chirun(argv=None) -> int:
                          default="scalar",
                          help="GMA execution engine: scalar interpretation "
                               "or gang-vectorized batching (default scalar)")
-    parser_.add_argument("--parallel-fabric", action="store_true",
-                         help="drain multi-device regions on host worker "
-                              "threads (same results, less wall-clock)")
     parser_.add_argument("--schedule", default=None, metavar="SPEC",
                          help="schedule transform applied to every "
                               "parallel region's program: 'auto' tunes "
@@ -118,10 +116,10 @@ def chirun(argv=None) -> int:
     args = parser_.parse_args(argv)
     if args.serve:
         from .serving.demo import run_serving_demo
+        engine = args.engine if args.engine != "scalar" else "gang"
         try:
             server = run_serving_demo(
-                devices=max(args.gma_devices, 1),
-                engine=args.engine if args.engine != "scalar" else "gang",
+                devices=max(args.gma_devices, 1), engine=engine,
                 fabric_workers=args.fabric_workers)
         except ReproError as exc:
             print(f"chirun: {exc}", file=sys.stderr)
@@ -132,10 +130,9 @@ def chirun(argv=None) -> int:
                   f"admitted={stats.launches_admitted} "
                   f"rejected={stats.launches_rejected} "
                   f"gangs_coalesced={stats.gangs_coalesced} "
-                  f"coalesced_lanes={stats.coalesced_lanes} "
-                  f"gang_lanes={stats.gang_lanes_retired} "
-                  f"scalar_fallbacks={stats.scalar_fallbacks}",
+                  f"coalesced_lanes={stats.coalesced_lanes}",
                   file=sys.stderr)
+            print(_engine_line(engine, stats), file=sys.stderr)
         return 0
     if args.image is None:
         parser_.error("an image is required unless --serve is given")
@@ -146,8 +143,7 @@ def chirun(argv=None) -> int:
                                fabric_workers=args.fabric_workers,
                                megaop_threshold=args.megaop_threshold,
                                schedule=args.schedule)
-        runtime = ChiRuntime(platform,
-                             parallel_fabric=args.parallel_fabric)
+        runtime = ChiRuntime(platform)
         program = _load(args.image)
         result = program.run(runtime=runtime)
     except ReproError as exc:
@@ -173,22 +169,8 @@ def chirun(argv=None) -> int:
                   f"applied={stats.schedules_applied} "
                   f"tuner_trials={stats.tuner_trials}",
                   file=sys.stderr)
+        print(_engine_line(args.engine, stats), file=sys.stderr)
         if args.engine != "scalar":
-            total = stats.predecode_hits + stats.predecode_misses
-            rate = stats.predecode_hits / total if total else 0.0
-            print(f"[chirun] engine={args.engine} "
-                  f"gang_lanes={stats.gang_lanes_retired} "
-                  f"scalar_fallbacks={stats.scalar_fallbacks} "
-                  f"gang_residency={stats.gang_residency_pct:.1f}% "
-                  f"decode_cache={stats.predecode_hits}/{total} "
-                  f"({rate:.0%} hit) "
-                  f"batched_mem={stats.batched_mem_lanes} "
-                  f"vec_translate={stats.batched_translations}",
-                  file=sys.stderr)
-            if stats.gang_repacks:
-                print(f"[chirun] repack merges={stats.gang_repacks} "
-                      f"lanes_readmitted={stats.lanes_readmitted}",
-                      file=sys.stderr)
             cache = predecode.CACHE.stats()
             print(f"[chirun] predecode_cache entries={cache['entries']} "
                   f"hits={cache['hits']} misses={cache['misses']} "
@@ -196,19 +178,17 @@ def chirun(argv=None) -> int:
                   f"fused_blocks={cache['fused_blocks']} "
                   f"megaops={cache['megaops']}",
                   file=sys.stderr)
-        if args.engine in ("fused", "megaop"):
-            print(f"[chirun] fusion blocks_retired="
-                  f"{stats.fused_blocks_retired} "
-                  f"trace_chains={stats.trace_chains} "
-                  f"compiles={stats.fusion_compiles}",
-                  file=sys.stderr)
-        if args.engine == "megaop":
-            print(f"[chirun] megaop retired={stats.megaops_retired} "
-                  f"compiles={stats.megaop_compiles} "
-                  f"deopts={stats.megaop_deopts}",
-                  file=sys.stderr)
     value = result.exit_value
     return int(value) if isinstance(value, (int, float)) else 0
+
+
+def _engine_line(engine: str, stats) -> str:
+    """The ``--stats`` engine line: every counter of the record, then
+    the residency derived from them."""
+    counters = " ".join(f"{name}={getattr(stats, name)}"
+                        for name in ENGINE_COUNTERS)
+    return (f"[chirun] engine={engine} {counters} "
+            f"gang_residency={stats.gang_residency_pct:.1f}%")
 
 
 def chidump(argv=None) -> int:

@@ -61,8 +61,8 @@ class Exoskeleton:
         self.host = host or OsManagedSequencer()
         self.costs = costs if costs is not None else ProxyCosts()
         # Proxy services model *one* IA32 sequencer handling user-level
-        # interrupts serially; when several fabric devices drain on worker
-        # threads (drain_devices(parallel=True)) their requests must still
+        # interrupts serially; when a server drains several device slots
+        # at once on executor threads their requests must still
         # serialize through this point.
         self._proxy_lock = threading.RLock()
         self.log = SignalLog()

@@ -26,7 +26,7 @@ from ..errors import SchedulingError
 from ..exo.shred import ShredDescriptor
 from ..gma.device import GmaDevice
 from ..gma.eu import DeviceTiming
-from ..gma.firmware import GmaRunResult
+from ..gma.firmware import GmaRunResult, RunTotals
 from ..gma.timing import GmaTimingConfig
 from ..memory.address_space import AddressSpace
 from .queue import DeviceWorkQueue
@@ -69,7 +69,7 @@ class DeviceRunReport:
     #: :func:`~repro.fabric.dispatcher.drain_devices`; 0.0 when the batch
     #: ran outside it).  Distinct from ``seconds``, which is simulated.
     wall_seconds: float = 0.0
-    #: ``"serial"``, ``"parallel"`` or ``"process"`` — how
+    #: ``"serial"`` or ``"process"`` — how
     #: :func:`~repro.fabric.dispatcher.drain_devices` ran this drain
     #: (empty when the batch ran outside it).
     drain_mode: str = ""
@@ -92,29 +92,7 @@ class DeviceRunReport:
         offset = 0.0
         for result in self.results:
             merged.runs.extend(result.runs)
-            merged.shreds_executed += result.shreds_executed
-            merged.instructions += result.instructions
-            merged.bytes_read += result.bytes_read
-            merged.bytes_written += result.bytes_written
-            merged.atr_events += result.atr_events
-            merged.ceh_events += result.ceh_events
-            merged.spawned_shreds += result.spawned_shreds
-            merged.pages_prepared += result.pages_prepared
-            merged.gang_lanes_retired += result.gang_lanes_retired
-            merged.scalar_fallbacks += result.scalar_fallbacks
-            merged.predecode_hits += result.predecode_hits
-            merged.predecode_misses += result.predecode_misses
-            merged.batched_mem_lanes += result.batched_mem_lanes
-            merged.batched_translations += result.batched_translations
-            merged.tlb_vector_hits += result.tlb_vector_hits
-            merged.fused_blocks_retired += result.fused_blocks_retired
-            merged.trace_chains += result.trace_chains
-            merged.fusion_compiles += result.fusion_compiles
-            merged.megaops_retired += result.megaops_retired
-            merged.megaop_compiles += result.megaop_compiles
-            merged.megaop_deopts += result.megaop_deopts
-            merged.gang_repacks += result.gang_repacks
-            merged.lanes_readmitted += result.lanes_readmitted
+            merged.add_totals(result)
             if result.timing is not None:
                 for sid, (s, f, eu, slot) in result.timing.spans.items():
                     timing.spans[sid] = (s + offset, f + offset, eu, slot)
@@ -127,19 +105,24 @@ class DeviceRunReport:
         return merged
 
 
-@dataclass
-class FabricRunResult:
+@dataclass(kw_only=True)
+class FabricRunResult(RunTotals):
     """One parallel construct's outcome across several fabric devices.
 
-    Duck-types the aggregate counters of
-    :class:`~repro.gma.firmware.GmaRunResult` (so region handles read the
-    same either way) while keeping the per-device
+    Holds the totals of every device's :class:`~repro.gma.firmware.
+    GmaRunResult`, summed once at construction (so region handles read
+    the same either way), while keeping the per-device
     :class:`DeviceRunReport` list for breakdowns and tracing.  Devices
     ran concurrently, so :attr:`seconds` is the max drain time, not the
     sum.
     """
 
     reports: List[DeviceRunReport] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for report in self.reports:
+            for result in report.results:
+                self.add_totals(result)
 
     @property
     def seconds(self) -> float:
@@ -149,114 +132,6 @@ class FabricRunResult:
     def runs(self) -> list:
         return [run for report in self.reports
                 for result in report.results for run in result.runs]
-
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(result, attr) for report in self.reports
-                   for result in report.results)
-
-    @property
-    def shreds_executed(self) -> int:
-        return self._sum("shreds_executed")
-
-    @property
-    def instructions(self) -> int:
-        return self._sum("instructions")
-
-    @property
-    def bytes_read(self) -> int:
-        return self._sum("bytes_read")
-
-    @property
-    def bytes_written(self) -> int:
-        return self._sum("bytes_written")
-
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_read + self.bytes_written
-
-    @property
-    def atr_events(self) -> int:
-        return self._sum("atr_events")
-
-    @property
-    def ceh_events(self) -> int:
-        return self._sum("ceh_events")
-
-    @property
-    def spawned_shreds(self) -> int:
-        return self._sum("spawned_shreds")
-
-    @property
-    def pages_prepared(self) -> int:
-        return self._sum("pages_prepared")
-
-    @property
-    def gang_lanes_retired(self) -> int:
-        return self._sum("gang_lanes_retired")
-
-    @property
-    def scalar_fallbacks(self) -> int:
-        return self._sum("scalar_fallbacks")
-
-    @property
-    def predecode_hits(self) -> int:
-        return self._sum("predecode_hits")
-
-    @property
-    def predecode_misses(self) -> int:
-        return self._sum("predecode_misses")
-
-    @property
-    def batched_mem_lanes(self) -> int:
-        return self._sum("batched_mem_lanes")
-
-    @property
-    def batched_translations(self) -> int:
-        return self._sum("batched_translations")
-
-    @property
-    def tlb_vector_hits(self) -> int:
-        return self._sum("tlb_vector_hits")
-
-    @property
-    def fused_blocks_retired(self) -> int:
-        return self._sum("fused_blocks_retired")
-
-    @property
-    def trace_chains(self) -> int:
-        return self._sum("trace_chains")
-
-    @property
-    def fusion_compiles(self) -> int:
-        return self._sum("fusion_compiles")
-
-    @property
-    def megaops_retired(self) -> int:
-        return self._sum("megaops_retired")
-
-    @property
-    def megaop_compiles(self) -> int:
-        return self._sum("megaop_compiles")
-
-    @property
-    def megaop_deopts(self) -> int:
-        return self._sum("megaop_deopts")
-
-    @property
-    def gang_repacks(self) -> int:
-        return self._sum("gang_repacks")
-
-    @property
-    def lanes_readmitted(self) -> int:
-        return self._sum("lanes_readmitted")
-
-    @property
-    def gang_residency_pct(self) -> float:
-        """Share of retired instructions that retired while ganged."""
-        instructions = self.instructions
-        if not instructions:
-            return 0.0
-        return 100.0 * self.gang_lanes_retired / instructions
 
     def report_for(self, device: str) -> Optional[DeviceRunReport]:
         for report in self.reports:

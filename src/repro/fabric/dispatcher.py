@@ -234,62 +234,32 @@ class WorkStealingDispatcher:
         return min(pending) if pending else None
 
 
-#: Minimum shreds queued on *every* device before ``parallel=True``
-#: actually spawns threads.  Below this the per-device drains finish in
-#: well under a millisecond each, so thread startup and GIL handoff cost
-#: more than they hide (BENCH_engine.json measured 0.27s threaded vs
-#: 0.25s serial at 4 devices x 8 short shreds).
-PARALLEL_DRAIN_MIN_SHREDS = 16
-
-
-def drain_devices(assignments, parallel=False):
+def drain_devices(assignments):
     """Run each ``(device, shreds)`` assignment and collect its report.
 
-    The functional/timing model of every device is single-threaded and
-    deterministic, and exoskeleton proxy services serialize internally.
-    With ``parallel=True`` each device drains on its own
-    :class:`~concurrent.futures.ThreadPoolExecutor` worker — but only
-    when every assignment queues at least
-    :data:`PARALLEL_DRAIN_MIN_SHREDS` shreds; smaller drains fall back
-    to serial, where they measure faster (thread startup dominates).
-    Pass ``parallel="force"`` to thread regardless of size.  When the
-    concurrently drained assignments touch *disjoint* surfaces — the
-    normal partitioned-launch shape — threading changes host wall-clock
-    only, never simulated time or results.  Devices do share the host
-    :class:`~repro.memory.address_space.AddressSpace`, so if kernels on
-    different devices read and write overlapping surfaces their accesses
-    interleave nondeterministically under a threaded drain: keep such
-    work on one device, or drain serially.  Per-device predecode
-    hit/miss deltas are also approximate under a threaded drain (the
-    cache and its counters are process wide); fleet totals stay exact.
-
-    Pass ``parallel="process"`` when the devices are
-    :class:`~repro.fabric.workers.ProcessGmaFabricDevice` proxies: each
-    host thread just blocks on its worker's pipe while the *child
-    process* drains, so the GIL never serializes the actual execution
-    and the size threshold does not apply.  ``drain_mode`` reports
-    ``"process"``.
+    In-process devices drain serially, one after another: their
+    functional/timing model is single-threaded and deterministic, and
+    host threads would only timeshare it under the GIL.  When every
+    device is a :class:`~repro.fabric.workers.ProcessGmaFabricDevice`
+    proxy (it carries a ``worker``), each host thread just blocks on its
+    worker's pipe while the *child process* drains, so the drains run
+    concurrently.  Devices share the host
+    :class:`~repro.memory.address_space.AddressSpace`: partition
+    disjoint surfaces across them for determinism, because concurrent
+    drains interleave their fault proxies in arrival order at the
+    parent.
 
     Every report's ``wall_seconds`` records the host wall-clock the drain
     spent inside ``run_shreds`` (useful next to the simulated ``seconds``
     in the fabric Chrome trace), and ``drain_mode`` records whether this
-    drain ran ``"process"``, ``"parallel"`` or ``"serial"``.  Empty
-    assignments are skipped; report order always matches assignment
-    order.
+    drain ran ``"process"`` or ``"serial"``.  Empty assignments are
+    skipped; report order always matches assignment order.
     """
     pairs = [(device, list(shreds)) for device, shreds in assignments
              if shreds]
-    if parallel == "process":
-        # Threads only wait on pipes; the compute happens in worker
-        # processes, so even one assignment gains nothing from gating.
-        threaded = len(pairs) > 1
-        mode = "process"
-    else:
-        threaded = bool(parallel) and len(pairs) > 1 and (
-            parallel == "force"
-            or min(len(shreds) for _, shreds in pairs)
-            >= PARALLEL_DRAIN_MIN_SHREDS)
-        mode = "parallel" if threaded else "serial"
+    remote = all(getattr(device, "worker", None) is not None
+                 for device, _ in pairs)
+    mode = "process" if remote else "serial"
 
     def _run(pair):
         device, shreds = pair
@@ -299,7 +269,7 @@ def drain_devices(assignments, parallel=False):
         report.drain_mode = mode
         return report
 
-    if threaded:
+    if remote and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
             return list(pool.map(_run, pairs))
     return [_run(pair) for pair in pairs]

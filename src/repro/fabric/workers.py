@@ -1,10 +1,10 @@
 """Cross-process fabric workers: GMA device pools in child processes.
 
-The thread-based parallel drain (PR 3) cannot scale device count — every
-interpreter step serializes on the GIL, and ``BENCH_engine.json`` shows
-the threaded drain *losing* to serial at 4 devices.  This module shards
-devices across worker **processes** instead, while keeping EXO's defining
-property: one shared physical memory under everyone.
+In-process devices cannot scale device count — every interpreter step
+serializes on the GIL, so host threads draining them would only
+timeshare one core.  This module shards devices across worker
+**processes** instead, while keeping EXO's defining property: one shared
+physical memory under everyone.
 
 Architecture
 ------------
@@ -40,9 +40,8 @@ Architecture
 Determinism scope: one worker drains one launch at a time (the parent
 serializes per-worker conversations), so a single device's results stay
 bit-identical to an in-process drain.  Launches on *different* workers
-interleave their fault proxies in arrival order at the parent, exactly
-as threaded drains interleave them — partition disjoint surfaces across
-devices for full determinism, as with ``parallel=True``.
+interleave their fault proxies in arrival order at the parent —
+partition disjoint surfaces across devices for full determinism.
 
 Shreds spawned on-device inside a worker draw ids from a per-worker
 band (:data:`WORKER_SHRED_ID_BASE`), so they can never collide with

@@ -16,7 +16,7 @@ start times).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 import numpy as np
@@ -25,22 +25,22 @@ from ..errors import ExecutionFault, SchedulingError
 from ..exo.shred import ShredDescriptor
 from ..isa import predecode
 from .context import ShredContext
+from .counters import EngineCounters
 from .eu import DeviceTiming, simulate_device
 from .gang import gang_eligible, run_gang
 from .interpreter import ShredInterpreter, ShredRun
-from .timing import GmaTimingConfig
 from .workqueue import WorkQueue
 
 #: Fixed-point iterations for dependency-gated timing.
 _TIMING_ROUNDS = 4
 
 
-@dataclass
-class GmaRunResult:
-    """Everything one device run produced."""
+@dataclass(kw_only=True)
+class RunTotals(EngineCounters):
+    """The summable totals of device work: the engine record plus what
+    the shreds retired and moved.  One run's result and the fabric
+    aggregate both hold them and merge with :meth:`add_totals`."""
 
-    runs: List[ShredRun] = field(default_factory=list)
-    timing: DeviceTiming = None
     shreds_executed: int = 0
     instructions: int = 0
     bytes_read: int = 0
@@ -49,36 +49,30 @@ class GmaRunResult:
     ceh_events: int = 0
     spawned_shreds: int = 0
     pages_prepared: int = 0  # GTT entries validated at launch (section 4.6)
-    gang_lanes_retired: int = 0   # instructions retired while ganged
-    scalar_fallbacks: int = 0     # shreds executed by the scalar engine
-    predecode_hits: int = 0       # decode-cache hits during this run
-    predecode_misses: int = 0
-    batched_mem_lanes: int = 0    # memory lanes retired in lockstep
-    batched_translations: int = 0  # pages resolved by vectorized translate
-    tlb_vector_hits: int = 0      # pages served by the TLB vector snapshot
-    fused_blocks_retired: int = 0  # superblocks retired by the fused path
-    trace_chains: int = 0         # uniform branches chained block-to-block
-    fusion_compiles: int = 0      # blocks compiled during this run
-    megaops_retired: int = 0      # whole-trace traversals retired by megaops
-    megaop_compiles: int = 0      # hot cycles promoted to megaops
-    megaop_deopts: int = 0        # megaop guard failures (divergence/fault)
-    gang_repacks: int = 0         # reconvergence merges (sub-gangs re-admitted)
-    lanes_readmitted: int = 0     # parked lanes merged back at a join
-
-    @property
-    def cycles(self) -> float:
-        return self.timing.cycles if self.timing else 0.0
 
     @property
     def bytes_total(self) -> int:
         return self.bytes_read + self.bytes_written
 
+    def add_totals(self, other: "RunTotals") -> None:
+        """Accumulate every total of ``other`` (engine counters too)."""
+        for name in RUN_TOTALS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+RUN_TOTALS = tuple(f.name for f in fields(RunTotals))
+
+
+@dataclass(kw_only=True)
+class GmaRunResult(RunTotals):
+    """Everything one device run produced."""
+
+    runs: List[ShredRun] = field(default_factory=list)
+    timing: DeviceTiming = None
+
     @property
-    def gang_residency_pct(self) -> float:
-        """Share of retired instructions that retired while ganged."""
-        if not self.instructions:
-            return 0.0
-        return 100.0 * self.gang_lanes_retired / self.instructions
+    def cycles(self) -> float:
+        return self.timing.cycles if self.timing else 0.0
 
 
 class EmulationFirmware:
@@ -113,21 +107,7 @@ class EmulationFirmware:
                     for shred in batch:
                         queue.mark_done(shred.shred_id)
                     executed.extend(outcome.runs)
-                    result.gang_lanes_retired += outcome.lanes_retired
-                    result.scalar_fallbacks += outcome.scalar_fallbacks
-                    result.batched_mem_lanes += outcome.batched_mem_lanes
-                    result.batched_translations += \
-                        outcome.batched_translations
-                    result.tlb_vector_hits += outcome.tlb_vector_hits
-                    result.fused_blocks_retired += \
-                        outcome.fused_blocks_retired
-                    result.trace_chains += outcome.trace_chains
-                    result.fusion_compiles += outcome.fusion_compiles
-                    result.megaops_retired += outcome.megaops_retired
-                    result.megaop_compiles += outcome.megaop_compiles
-                    result.megaop_deopts += outcome.megaop_deopts
-                    result.gang_repacks += outcome.gang_repacks
-                    result.lanes_readmitted += outcome.lanes_readmitted
+                    result.add(outcome)
                     continue
             shred = queue.pop_ready()
             if shred is None:
@@ -140,9 +120,10 @@ class EmulationFirmware:
             executed.append(run)
             queue.mark_done(shred.shred_id)
 
-        # per-run deltas; under a parallel multi-device drain the split
-        # between devices is approximate (the cache and its counters are
-        # process wide), the fleet total stays exact
+        # per-run deltas; when serving drains several slots at once on
+        # executor threads the split between devices is approximate (the
+        # cache and its counters are process wide), the fleet total
+        # stays exact
         result.predecode_hits = cache.hits - hits_before
         result.predecode_misses = cache.misses - misses_before
 

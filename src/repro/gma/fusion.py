@@ -157,7 +157,7 @@ def _charge(block: CompiledBlock, upto: int, active: Sequence[int],
         rec.trace_effects.extend(effects)
         rec.instructions += upto
         rec.issue_cycles += issue
-    outcome.lanes_retired += upto * len(active)
+    outcome.gang_lanes_retired += upto * len(active)
 
 
 def run_fused(fused: FusedProgram, ip: int, active: List[int],

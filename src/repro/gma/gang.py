@@ -103,6 +103,7 @@ from ..isa.types import DataType, NUM_PREGS, NUM_VREGS, VLEN
 from ..memory.physical import PAGE_SHIFT
 from ..memory.surface import TileMode
 from .context import ShredContext
+from .counters import EngineCounters
 from .interpreter import (
     MAX_INSTRUCTIONS,
     ShredInterpreter,
@@ -152,24 +153,15 @@ class GangShredContext(ShredContext):
             self.charge_log.append((lo, nbytes, write))
 
 
-@dataclass
-class GangOutcome:
-    """What one gang drain produced, in shred queue order."""
+@dataclass(kw_only=True)
+class GangOutcome(EngineCounters):
+    """What one gang drain produced, in shred queue order.
+
+    ``scalar_fallbacks`` counts shreds peeled to the scalar interpreter;
+    the predecode counters stay 0 (the firmware takes them per run).
+    """
 
     runs: List[ShredRun] = field(default_factory=list)
-    lanes_retired: int = 0    # instructions retired while gang resident
-    scalar_fallbacks: int = 0  # shreds peeled to the scalar interpreter
-    batched_mem_lanes: int = 0  # memory lanes retired through batch_mem
-    batched_translations: int = 0  # pages resolved by vectorized translate
-    tlb_vector_hits: int = 0  # pages served by the TLB's vector snapshot
-    fused_blocks_retired: int = 0  # whole blocks retired by the fused path
-    trace_chains: int = 0     # uniform branches chained block-to-block
-    fusion_compiles: int = 0  # blocks compiled (first-run cost)
-    megaops_retired: int = 0  # whole-trace traversals retired by megaops
-    megaop_compiles: int = 0  # hot cycles promoted to megaops
-    megaop_deopts: int = 0    # megaop guard failures (divergence/fault)
-    gang_repacks: int = 0     # reconvergence merges that re-admitted lanes
-    lanes_readmitted: int = 0  # suspended sub-gang lanes merged back
     #: Device spans of committed lockstep memory steps, one record per
     #: step: (shred indices, span starts [lanes x rows], span sizes
     #: broadcastable to the starts, write).  Charged and cleared by
@@ -405,7 +397,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 continue
             account_instruction(recs[i], pre_prog.instrs[ip].instr, eff,
                                 config)
-            outcome.lanes_retired += 1
+            outcome.gang_lanes_retired += 1
             survivors.append(i)
         pairs = [(j, ip) for j in sorted(faulted + trailing)]
         return survivors, pairs
@@ -524,7 +516,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                     eff.ended = True
                     for i in active:
                         account_instruction(recs[i], pre.instr, eff, config)
-                    outcome.lanes_retired += len(active)
+                    outcome.gang_lanes_retired += len(active)
                     for i in active:
                         finish_one(i)
                     active = []
@@ -533,7 +525,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                     eff = Effect()
                     for i in active:
                         account_instruction(recs[i], pre.instr, eff, config)
-                    outcome.lanes_retired += len(active)
+                    outcome.gang_lanes_retired += len(active)
                     ip += 1
                     continue
                 # JMP / BR with a predecoded target
@@ -546,7 +538,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 eff = Effect()  # trace entry is branch-direction independent
                 for i in active:
                     account_instruction(recs[i], pre.instr, eff, config)
-                outcome.lanes_retired += len(active)
+                outcome.gang_lanes_retired += len(active)
                 if taken.all():
                     ip = pre.target
                     continue
@@ -590,7 +582,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                     eff = Effect()
                     for i in active:
                         account_instruction(recs[i], pre.instr, eff, config)
-                    outcome.lanes_retired += len(active)
+                    outcome.gang_lanes_retired += len(active)
                     ip += 1
                     continue
                 # fall through to the per-shred reference step
@@ -914,7 +906,7 @@ def _retire_mem(pre, eff, active, recs, config, outcome) -> bool:
     """Account one batched memory instruction for every active shred."""
     for i in active:
         account_instruction(recs[i], pre.instr, eff, config)
-    outcome.lanes_retired += len(active)
+    outcome.gang_lanes_retired += len(active)
     outcome.batched_mem_lanes += len(active)
     return True
 

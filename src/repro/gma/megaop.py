@@ -632,7 +632,7 @@ def _charge_mega(mop: MegaOp, k: int, m: int, active: Sequence[int],
             rec.sampler_samples += sampler
         if sbytes:
             rec.bytes_read += sbytes
-    outcome.lanes_retired += total * len(active)
+    outcome.gang_lanes_retired += total * len(active)
     outcome.batched_mem_lanes += (mop.mem_total * k
                                   + mop.mem_prefix[m]) * len(active)
 

@@ -300,8 +300,8 @@ class PredecodeCache:
     the stored reference on every lookup.
 
     The process-wide instance is shared by every engine, including the
-    parallel fabric drain's worker threads, so entry and counter updates
-    are guarded by a lock.  It is an ``RLock`` because the eviction
+    executor threads a server drains its device slots on, so entry and
+    counter updates are guarded by a lock.  It is an ``RLock`` because the eviction
     callback fires from garbage collection, which can trigger on an
     allocation made while this same thread already holds the lock.
     """

@@ -14,6 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..exo.shred import ShredDescriptor
+from ..gma.counters import EngineCounters
 from ..gma.device import GmaDevice
 from ..isa.assembler import assemble
 from ..isa.program import Program
@@ -23,9 +24,10 @@ from ..memory.surface import Surface
 from .base import Geometry, MediaKernel
 
 
-@dataclass
-class KernelRunResult:
-    """Aggregate outcome of running every frame of one kernel config."""
+@dataclass(kw_only=True)
+class KernelRunResult(EngineCounters):
+    """Aggregate outcome of running every frame of one kernel config
+    (engine counters zero under the scalar engine)."""
 
     kernel: MediaKernel
     geometry: Geometry
@@ -41,17 +43,6 @@ class KernelRunResult:
     verified: bool = False
     bound: str = ""
     outputs: Dict[str, np.ndarray] = field(default_factory=dict)
-    # engine counters (zero under the scalar engine)
-    gang_lanes_retired: int = 0
-    scalar_fallbacks: int = 0
-    fused_blocks_retired: int = 0
-    trace_chains: int = 0
-    fusion_compiles: int = 0
-    megaops_retired: int = 0
-    megaop_compiles: int = 0
-    megaop_deopts: int = 0
-    gang_repacks: int = 0
-    lanes_readmitted: int = 0
     #: Schedule-transform layer: the spec that was applied to the kernel
     #: program ("" when unscheduled, "baseline" when the tuner kept the
     #: original) and how many candidates the auto-tuner scored.
@@ -61,13 +52,6 @@ class KernelRunResult:
     @property
     def bytes_total(self) -> int:
         return self.bytes_read + self.bytes_written
-
-    @property
-    def gang_residency_pct(self) -> float:
-        """Share of retired instructions that retired while ganged."""
-        if not self.instructions:
-            return 0.0
-        return 100.0 * self.gang_lanes_retired / self.instructions
 
 
 def build_program(kernel: MediaKernel, geom: Geometry,
@@ -185,16 +169,7 @@ def run_kernel_on_gma(kernel: MediaKernel, geom: Geometry,
         result.atr_events += run.atr_events
         result.ceh_events += run.ceh_events
         result.sampler_samples += sum(r.sampler_samples for r in run.runs)
-        result.gang_lanes_retired += getattr(run, "gang_lanes_retired", 0)
-        result.scalar_fallbacks += getattr(run, "scalar_fallbacks", 0)
-        result.fused_blocks_retired += getattr(run, "fused_blocks_retired", 0)
-        result.trace_chains += getattr(run, "trace_chains", 0)
-        result.fusion_compiles += getattr(run, "fusion_compiles", 0)
-        result.megaops_retired += getattr(run, "megaops_retired", 0)
-        result.megaop_compiles += getattr(run, "megaop_compiles", 0)
-        result.megaop_deopts += getattr(run, "megaop_deopts", 0)
-        result.gang_repacks += getattr(run, "gang_repacks", 0)
-        result.lanes_readmitted += getattr(run, "lanes_readmitted", 0)
+        result.add(run)
         result.bound = run.timing.bound
         result.frames_run += 1
 

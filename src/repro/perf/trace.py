@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from typing import List, Optional, Sequence
 
-from ..gma.firmware import GmaRunResult
+from ..gma.counters import ENGINE_COUNTERS
+from ..gma.firmware import GmaRunResult, RunTotals
 from ..gma.timing import GmaTimingConfig
 
 
@@ -106,24 +107,15 @@ def fabric_chrome_trace_events(reports: Sequence,
             "ph": "M", "name": "process_name", "pid": pid,
             "args": args,
         })
-        engine = {
-            key: sum(getattr(result, key, 0) for result in report.results)
-            for key in ("gang_lanes_retired", "scalar_fallbacks",
-                        "predecode_hits", "predecode_misses",
-                        "batched_mem_lanes", "batched_translations",
-                        "tlb_vector_hits", "fused_blocks_retired",
-                        "trace_chains", "fusion_compiles",
-                        "megaops_retired", "megaop_compiles",
-                        "megaop_deopts", "gang_repacks",
-                        "lanes_readmitted")
-        }
+        totals = RunTotals()
+        for result in report.results:
+            totals.add_totals(result)
+        engine = {key: getattr(totals, key) for key in ENGINE_COUNTERS}
         if any(engine.values()):
-            instructions = sum(getattr(result, "instructions", 0)
-                               for result in report.results)
-            if instructions:
+            if totals.instructions:
                 # derived, not summable: recompute per report
                 engine["gang_residency_pct"] = round(
-                    100.0 * engine["gang_lanes_retired"] / instructions, 2)
+                    totals.gang_residency_pct, 2)
             events.append({
                 "ph": "C", "name": "engine", "pid": pid,
                 "ts": 0.0, "args": engine,

@@ -280,7 +280,6 @@ class ExoServer:
                 if self.policy is AdmissionPolicy.RAISE:
                     session.rejected += 1
                     self.stats.launches_rejected += 1
-                    self._rstats.launches_rejected += 1
                     raise AdmissionRejected(
                         reason,
                         retry_after=self.admission.retry_after(
@@ -299,7 +298,6 @@ class ExoServer:
         session.inflight += 1
         session.launches += 1
         self.stats.launches_admitted += 1
-        self._rstats.launches_admitted += 1
         # enqueue before the first await so a burst of submits from one
         # client task lands in the queue back to back — that adjacency is
         # what the coalescer feeds on
@@ -362,8 +360,6 @@ class ExoServer:
         if len(requests) > 1:
             self.stats.gangs_coalesced += 1
             self.stats.coalesced_lanes += lanes
-            self._rstats.gangs_coalesced += 1
-            self._rstats.coalesced_lanes += lanes
         self._rstats.regions += 1
         self._rstats.shreds += merged.shreds_executed
         self._rstats.gma_seconds += report.seconds
@@ -452,5 +448,8 @@ class ExoServer:
 
     def runtime_stats(self) -> RuntimeStats:
         """The server's work, in ``RuntimeStats`` shape (for traces/CLI)."""
-        self._rstats.sessions_opened = self.stats.sessions_opened
+        for name in ("sessions_opened", "launches_admitted",
+                     "launches_rejected", "gangs_coalesced",
+                     "coalesced_lanes"):
+            setattr(self._rstats, name, getattr(self.stats, name))
         return self._rstats

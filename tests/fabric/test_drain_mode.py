@@ -1,10 +1,15 @@
-"""The parallel-drain threshold: small drains must not pay thread cost."""
+"""Drain modes: in-process devices drain serially, process proxies
+(devices carrying a ``worker``) drain concurrently."""
 
 from __future__ import annotations
 
+import threading
+
 from repro.chi import ChiRuntime, ExoPlatform
-from repro.fabric.dispatcher import (PARALLEL_DRAIN_MIN_SHREDS,
-                                     drain_devices)
+from repro.exo.shred import ShredDescriptor
+from repro.fabric.device import DeviceRunReport
+from repro.fabric.dispatcher import drain_devices
+from repro.isa.assembler import assemble
 
 ASM = """
 mov.1.dw vr1 = 0
@@ -16,68 +21,76 @@ end
 """
 
 
-def _region(parallel, devices=2, shreds=8):
+def _region(devices=2, shreds=8):
     platform = ExoPlatform(num_gma_devices=devices, gma_engine="gang")
-    runtime = ChiRuntime(platform, parallel_fabric=parallel)
+    runtime = ChiRuntime(platform)
     region = runtime.parallel(ASM, num_threads=shreds)
     return runtime, region.wait()
 
 
-def test_small_drain_falls_back_to_serial():
-    """Below the threshold, ``parallel=True`` chooses a serial drain."""
-    runtime, result = _region(True, devices=2, shreds=8)
-    assert all(r.drain_mode == "serial" for r in result.reports)
-    assert runtime.stats.drains_serial == 1
-    assert runtime.stats.drains_parallel == 0
+class FakeDevice:
+    """A fabric device front; ``worker`` marks it a process proxy."""
+
+    def __init__(self, name, worker=None, barrier=None):
+        self.name = name
+        self.worker = worker
+        self.barrier = barrier
+
+    def run_shreds(self, shreds):
+        if self.barrier is not None:
+            # every proxy must be inside its drain at once, or this
+            # times out and breaks the barrier
+            self.barrier.wait(timeout=10.0)
+        return DeviceRunReport(device=self.name, isa="X3000",
+                               seconds=0.0, shreds=len(shreds))
 
 
-def test_large_drain_threads():
-    """At or above the threshold on every device, threads engage."""
-    shreds = 2 * PARALLEL_DRAIN_MIN_SHREDS + 8  # comfortably above /device
-    runtime, result = _region(True, devices=2, shreds=shreds)
-    assert any(r.drain_mode == "parallel" for r in result.reports)
-    assert runtime.stats.drains_parallel == 1
-
-
-def test_force_threads_regardless_of_size():
-    runtime, result = _region("force", devices=2, shreds=4)
-    assert all(r.drain_mode == "parallel" for r in result.reports)
-    assert runtime.stats.drains_parallel == 1
+def _shred():
+    return ShredDescriptor(program=assemble("end", name="nop"))
 
 
 def test_serial_request_stays_serial():
-    runtime, result = _region(False, devices=2, shreds=64)
+    """In-process devices always drain one after another."""
+    runtime, result = _region(devices=2, shreds=64)
     assert all(r.drain_mode == "serial" for r in result.reports)
     assert runtime.stats.drains_serial == 1
+    assert runtime.stats.drains_process == 0
 
 
 def test_single_pair_never_threads():
-    """One device means nothing to overlap, whatever was asked for."""
-    runtime, _ = _region("force", devices=1, shreds=4)
+    runtime, _ = _region(devices=1, shreds=4)
     assert runtime.stats.drains_serial == 1
-    assert runtime.stats.drains_parallel == 0
 
 
 def test_drain_devices_skips_empty_and_orders_reports():
-    from repro.exo.shred import ShredDescriptor
-    from repro.isa.assembler import assemble
-
-    class FakeDevice:
-        def __init__(self, name):
-            self.name = name
-
-        def run_shreds(self, shreds):
-            from repro.fabric.device import DeviceRunReport
-            return DeviceRunReport(device=self.name, isa="X3000",
-                                   seconds=0.0, shreds=len(shreds))
-
-    program = assemble("end", name="nop")
-    shred = ShredDescriptor(program=program)
+    """Devices carrying a worker drain in ``"process"`` mode."""
+    shred = _shred()
     reports = drain_devices([
-        (FakeDevice("a"), [shred]),
-        (FakeDevice("b"), []),
-        (FakeDevice("c"), [shred]),
-    ], parallel="force")
+        (FakeDevice("a", worker="w0"), [shred]),
+        (FakeDevice("b", worker="w1"), []),
+        (FakeDevice("c", worker="w2"), [shred]),
+    ])
     assert [r.device for r in reports] == ["a", "c"]
-    assert all(r.drain_mode == "parallel" for r in reports)
+    assert all(r.drain_mode == "process" for r in reports)
     assert all(r.wall_seconds > 0.0 for r in reports)
+
+
+def test_worker_devices_drain_concurrently():
+    barrier = threading.Barrier(2)
+    shred = _shred()
+    reports = drain_devices([
+        (FakeDevice("a", worker="w0", barrier=barrier), [shred]),
+        (FakeDevice("b", worker="w1", barrier=barrier), [shred]),
+    ])
+    assert [r.device for r in reports] == ["a", "b"]
+    assert not barrier.broken
+
+
+def test_mixed_fabric_drains_serially():
+    """One in-process device among the proxies keeps the drain serial."""
+    shred = _shred()
+    reports = drain_devices([
+        (FakeDevice("a", worker="w0"), [shred]),
+        (FakeDevice("b"), [shred]),
+    ])
+    assert all(r.drain_mode == "serial" for r in reports)

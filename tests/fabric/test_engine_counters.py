@@ -1,9 +1,11 @@
 """Engine counters: runtime stats, fabric aggregation, trace export,
-threaded drains, and the shared-mutable-default constructor fixes."""
+drain wall-clock, and the shared-mutable-default constructor fixes."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.exo.shred import ShredDescriptor
 from repro.fabric.device import DeviceRunReport, FabricRunResult
 from repro.fabric.dispatcher import drain_devices
 from repro.gma.device import GmaDevice
+from repro.gma.counters import EngineCounters
 from repro.gma.firmware import GmaRunResult
 from repro.isa.assembler import assemble
 from repro.memory.address_space import AddressSpace
@@ -205,29 +208,84 @@ class TestChromeTrace:
         assert counters[0]["args"]["gang_lanes_retired"] == 3
 
 
+COUNTERS = [counter.name for counter in fields(EngineCounters)]
+
+
+def _distinct(base: int) -> dict:
+    """A value for every engine counter, no two alike."""
+    return {name: base + 7 * index + 1 for index, name in enumerate(COUNTERS)}
+
+
+class TestRecordSurvivesEveryLayer:
+    """Every field of :class:`EngineCounters`, not a hand-picked list,
+    sums through each layer that merges the record."""
+
+    left, right = _distinct(0), _distinct(1000)
+
+    def _expect(self, holder):
+        for name in COUNTERS:
+            assert getattr(holder, name) == \
+                self.left[name] + self.right[name], name
+
+    def test_merged_result(self):
+        report = _report("gma0", _result(**self.left),
+                         _result(**self.right))
+        self._expect(report.merged_result())
+
+    def test_fabric_result(self):
+        self._expect(FabricRunResult(reports=[
+            _report("gma0", _result(**self.left)),
+            _report("gma1", _result(**self.right)),
+        ]))
+
+    def test_runtime_stats(self):
+        stats = RuntimeStats()
+        stats.note_engine(_result(instructions=5000, **self.left))
+        stats.note_engine(_result(instructions=3000, **self.right))
+        self._expect(stats)
+        assert stats.instructions_retired == 8000
+        assert stats.gang_residency_pct == pytest.approx(
+            100.0 * (self.left["gang_lanes_retired"]
+                     + self.right["gang_lanes_retired"]) / 8000)
+
+    def test_chrome_counter_track(self):
+        events = fabric_chrome_trace_events([
+            _report("gma0", _result(**self.left), _result(**self.right)),
+        ])
+        args = [e for e in events if e["ph"] == "C"][0]["args"]
+        assert list(args) == COUNTERS
+        self._expect(SimpleNamespace(**args))
+
+    def test_kernel_result_equals_sum_of_frames(self):
+        from repro.kernels import kernel_by_abbrev, run_kernel_on_gma
+        from repro.perf import SMOKE_GEOMETRIES
+
+        device = GmaDevice(AddressSpace(), engine="megaop",
+                           megaop_threshold=2)
+        frames = []
+        run = device.run
+
+        def recording(shreds):
+            frames.append(run(shreds))
+            return frames[-1]
+
+        device.run = recording
+        result = run_kernel_on_gma(kernel_by_abbrev("Kalman"),
+                                   SMOKE_GEOMETRIES["Kalman"],
+                                   device=device, space=device.space,
+                                   max_frames=2)
+        assert len(frames) == 2
+        for name in COUNTERS:
+            assert getattr(result, name) == sum(
+                getattr(frame, name) for frame in frames), name
+        assert result.megaops_retired > 0
+        assert result.predecode_hits > 0
+        assert result.instructions == sum(f.instructions for f in frames)
+        assert result.gang_residency_pct == pytest.approx(
+            100.0 * result.gang_lanes_retired / result.instructions)
+
+
 class TestDrainDevices:
-    def _platform(self, parallel: bool):
-        platform = ExoPlatform(num_gma_devices=2, gma_engine="gang")
-        program = assemble(UNIFORM_ASM, name="drain-test")
-        batches = [
-            [ShredDescriptor(program=program, bindings={"iters": 3.0})
-             for _ in range(4)]
-            for _ in range(2)
-        ]
-        assignments = list(zip(platform.gma_devices, batches))
-        return drain_devices(assignments, parallel=parallel)
-
-    def test_serial_and_parallel_agree(self):
-        serial = self._platform(parallel=False)
-        threaded = self._platform(parallel=True)
-        assert [r.device for r in serial] == [r.device for r in threaded]
-        for left, right in zip(serial, threaded):
-            assert left.shreds == right.shreds
-            assert left.seconds == right.seconds
-            merged_l, merged_r = left.merged_result(), right.merged_result()
-            assert merged_l.instructions == merged_r.instructions
-            assert merged_l.gang_lanes_retired == merged_r.gang_lanes_retired
-
     def test_wall_seconds_measured_and_empties_skipped(self):
         platform = ExoPlatform(num_gma_devices=2)
         program = assemble("iota.16.f vr1\nend\n", name="tiny")
@@ -237,19 +295,6 @@ class TestDrainDevices:
         assert len(reports) == 1  # the empty assignment never ran
         assert reports[0].device == devices[0].name
         assert reports[0].wall_seconds > 0.0
-
-    def test_parallel_fabric_region_matches_serial(self):
-        outcomes = {}
-        for parallel in (False, True):
-            platform = ExoPlatform(num_gma_devices=2, gma_engine="gang")
-            runtime = ChiRuntime(platform, parallel_fabric=parallel)
-            region = runtime.parallel(UNIFORM_ASM, num_threads=8,
-                                      firstprivate={"iters": 4.0})
-            outcomes[parallel] = region.wait()
-        serial, threaded = outcomes[False], outcomes[True]
-        assert serial.instructions == threaded.instructions
-        assert serial.gang_lanes_retired == threaded.gang_lanes_retired
-        assert serial.seconds == threaded.seconds
 
 
 class TestNoSharedMutableDefaults:

@@ -307,7 +307,6 @@ class TestPlatformIntegration:
             got = out.download(platform.space).reshape(-1)
             np.testing.assert_array_equal(got, np.arange(64) * 3 + 1)
             assert rt.stats.drains_process == 1
-            assert rt.stats.drains_parallel == 0
             shreds = rt.stats.device_shreds
             assert shreds["gma0"] + shreds["gma1"] == 64
 

@@ -50,6 +50,51 @@ def test_raise_policy_rejects_with_retry_after():
     asyncio.run(scenario())
 
 
+SERVING_COUNTERS = ("sessions_opened", "launches_admitted",
+                    "launches_rejected", "gangs_coalesced",
+                    "coalesced_lanes")
+
+
+def test_runtime_stats_report_the_server_counters():
+    """``runtime_stats()`` copies the serving counters the server keeps,
+    each time it is asked, so the two views never drift."""
+    def snapshot(server):
+        stats = server.runtime_stats()
+        got = {name: getattr(stats, name) for name in SERVING_COUNTERS}
+        assert got == {name: getattr(server.stats, name)
+                       for name in SERVING_COUNTERS}
+        return got
+
+    async def scenario():
+        async with ExoServer(num_devices=1,
+                             admission_policy=AdmissionPolicy.RAISE
+                             ) as server:
+            session = server.open_session(
+                "t", SessionQuotas(max_inflight=2))
+            program = assemble(LOOP_ASM, name="loop")
+            await asyncio.gather(*[
+                server.submit(session, program, bindings=[{}])
+                for _ in range(2)
+            ])
+            first = snapshot(server)
+            held = [asyncio.ensure_future(
+                        server.submit(session, program, bindings=[{}]))
+                    for _ in range(2)]
+            await asyncio.sleep(0)  # both take the inflight slots
+            with pytest.raises(AdmissionRejected):
+                await server.submit(session, program, bindings=[{}])
+            await asyncio.gather(*held)
+            return first, snapshot(server)
+
+    first, second = asyncio.run(scenario())
+    assert first["sessions_opened"] == 1
+    assert first["launches_admitted"] == 2
+    assert first["launches_rejected"] == 0
+    assert second["launches_admitted"] == 4
+    assert second["launches_rejected"] == 1
+    assert second["coalesced_lanes"] >= first["coalesced_lanes"]
+
+
 def test_block_policy_waits_instead_of_raising():
     async def scenario():
         async with ExoServer(num_devices=1,

@@ -70,6 +70,21 @@ class TestChirun:
         captured = capsys.readouterr()
         assert "shreds=8" in captured.err
 
+    def test_stats_print_every_engine_counter(self, source, capsys):
+        from dataclasses import fields
+
+        from repro.gma.counters import EngineCounters
+
+        assert chirun([str(source), "--engine", "megaop", "--stats"]) == 0
+        err = capsys.readouterr().err
+        engine_lines = [line for line in err.splitlines()
+                        if line.startswith("[chirun] engine=megaop ")]
+        assert len(engine_lines) == 1
+        for counter in fields(EngineCounters):
+            assert f" {counter.name}=" in engine_lines[0], counter.name
+        assert "gang_residency=" in engine_lines[0]
+        assert "[chirun] predecode_cache " in err
+
     def test_fatbin_without_host_source(self, tmp_path, capsys):
         from repro.chi.fatbinary import FatBinary
 
