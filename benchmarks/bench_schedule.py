@@ -1,11 +1,11 @@
 """Auto-tuned schedule transforms vs the unscheduled kernel programs.
 
 The schedule-transform layer (``src/repro/isa/transforms.py``,
-``docs/SCHEDULE.md``) rewrites a kernel program — unroll, strip-mine,
-reorder, block-stage memory, idiom replace — without changing a single
-output bit, and the auto-tuner (``src/repro/isa/tuning.py``) searches a
-small menu of such schedules against the EU timing model.  This
-benchmark is the CI gate for that layer, measured two ways:
+``docs/SCHEDULE.md``) rewrites a kernel program — unroll, reorder,
+block-stage memory — without changing a single output bit, and the
+auto-tuner (``src/repro/isa/tuning.py``) picks from a four-entry menu
+of such schedules against the EU timing model.  This benchmark is the
+CI gate for that layer, measured two ways:
 
 * the per-kernel scheduled-vs-baseline table: four kernels whose short
   load/store-dominated inner loops stayed flat under the gang/fusion

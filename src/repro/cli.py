@@ -94,8 +94,7 @@ def chirun(argv=None) -> int:
                               "per program against the timing model, or "
                               "give an explicit spec like "
                               "'unroll4+stage_mem' (steps: unroll[N], "
-                              "split[N], stage_mem, reorder, "
-                              "replace_avg, replace_mad)")
+                              "stage_mem, reorder)")
     parser_.add_argument("--megaop-threshold", type=int, default=None,
                          metavar="N",
                          help="chain traversals of one hot cycle before "

@@ -186,24 +186,3 @@ def schedule_program(program: Program) -> Program:
                         labels=dict(program.labels), source=program.source)
     scheduled.validate()
     return scheduled
-
-
-def estimated_serial_cycles(program: Program) -> int:
-    """Single-context cost estimate: each instruction's latency is exposed
-    unless the instructions between a producer and its first consumer
-    cover it.  Used to compare schedules; the EU model is the ground
-    truth."""
-    total = 0
-    pending: Dict[int, int] = {}  # reg -> cycle its value is ready
-    clock = 0
-    for instr in program.instructions:
-        eff = _effects(instr)
-        stall = 0
-        for reg in eff.reg_uses:
-            if reg in pending:
-                stall = max(stall, pending[reg] - clock)
-        clock += stall + instr.info.issue
-        for reg in eff.reg_defs:
-            pending[reg] = clock + instr.info.latency
-        total = clock
-    return total

@@ -9,17 +9,16 @@ in the spirit of Exo/SYS_ATL user-schedulable languages —
 * :func:`unroll` — peel a counted loop's body ``factor`` times so the
   superblock fuser and the megaop trace recorder see longer
   straight-line traces (and fewer ``cmp``/``br`` retirements);
-* :func:`split` — restructure a counted loop into an outer/inner nest
-  (the classic strip-mine shape, useful before unrolling the inner);
 * :func:`reorder` — block-local list scheduling, delegated to
   :func:`repro.isa.scheduler.schedule_program`;
 * :func:`stage_mem` — merge adjacent-row ``ldblk``/``stblk`` pairs into
   taller blocks and hoist scalar ``ld``/``st`` chains into one ranged
   ``BATCH_MEM``-eligible access (fewer memory-op dispatches, which is
-  where flat kernels spend their time);
-* :func:`replace` — map recognizable idiom fragments onto the dedicated
-  ISA ops (``add/add/shr`` → ``avg``, ``mul/add`` → ``mad``), each
-  rewrite double-checked by a random-state fragment differential.
+  where flat kernels spend their time).
+
+There is no instruction-selection primitive: CHI kernels are written as
+inline accelerator assembly (paper section 4.1), so they already use
+the dedicated ops (``avg``, ``mad``) such a rewrite would select.
 
 Every primitive returns a **fresh** :class:`Program`: transforms rewrite
 at the structured-line level (labels + :class:`Instruction` objects),
@@ -42,8 +41,6 @@ import re
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..errors import ReproError
 from .assembler import assemble
 from .instructions import Instruction
@@ -59,9 +56,8 @@ from .operands import (
     SymOperand,
 )
 from .program import Program
-from .registers import RegisterFile
-from .scheduler import instruction_effects, schedule_program
-from .types import NUM_PREGS, NUM_VREGS, VLEN, DataType
+from .scheduler import _block_boundaries, instruction_effects, schedule_program
+from .types import NUM_VREGS, VLEN, DataType
 
 
 class ScheduleError(ReproError):
@@ -103,9 +99,7 @@ def _emit(items: Sequence[object], name: str) -> Program:
             lines.append(f"{item}:")
         else:
             lines.append(f"    {item}")
-    program = assemble("\n".join(lines) + "\n", name=name)
-    program.validate()
-    return program
+    return assemble("\n".join(lines) + "\n", name=name)
 
 
 def _instr_item_index(items: Sequence[object]) -> Dict[int, int]:
@@ -308,16 +302,7 @@ def _used_vregs(program: Program) -> Set[int]:
     return used
 
 
-def _used_pregs(program: Program) -> Set[int]:
-    used: Set[int] = set()
-    for instr in program.instructions:
-        eff = instruction_effects(instr)
-        used |= eff.pred_uses | eff.pred_defs
-    return used
-
-
-def _free_vreg_block(program: Program, count: int, *,
-                     reserved: Set[int] = frozenset()) -> int:
+def _free_vreg_block(program: Program, count: int) -> int:
     """First register of ``count`` consecutive vregs the program never uses.
 
     A register the program never touches is dead everywhere, so any gap
@@ -325,7 +310,7 @@ def _free_vreg_block(program: Program, count: int, *,
     high-water mark.  Repeated staging passes on an unrolled body would
     otherwise exhaust the file long before it is actually full.
     """
-    used = _used_vregs(program) | set(reserved)
+    used = _used_vregs(program)
     run_start = 0
     run = 0
     for reg in range(NUM_VREGS):
@@ -340,25 +325,8 @@ def _free_vreg_block(program: Program, count: int, *,
         f"but the largest free run is smaller")
 
 
-def _free_preg(program: Program) -> int:
-    used = _used_pregs(program)
-    top = max(used, default=-1) + 1
-    if top >= NUM_PREGS:
-        raise ScheduleError(f"{program.name}: no free predicate register")
-    return top
-
-
-def _fresh_label(program: Program, base: str) -> str:
-    name = base
-    n = 2
-    while name in program.labels:
-        name = f"{base}{n}"
-        n += 1
-    return name
-
-
 # ---------------------------------------------------------------------------
-# unroll / split / reorder
+# unroll / reorder
 # ---------------------------------------------------------------------------
 
 def unroll(program: Program, label: str, factor: int,
@@ -403,67 +371,6 @@ def unroll(program: Program, label: str, factor: int,
     return _emit(new_items, program.name)
 
 
-def split(program: Program, label: str, factor: int,
-          bindings: Optional[Dict[str, float]] = None) -> Program:
-    """Strip-mine the counted loop at ``label`` by ``factor``.
-
-    The body is wrapped in a fresh inner loop running ``factor`` times
-    per outer trip (a new counter in a never-used vreg/preg, so no live
-    state is disturbed); the original test becomes the outer backedge.
-    Requires ``factor`` to divide the trip count exactly.
-    """
-    if factor < 2:
-        raise ScheduleError(f"split factor must be >= 2, got {factor}")
-    lp = _loop_by_label(program, label, bindings)
-    if lp.trip is None:
-        raise ScheduleError(
-            f"{program.name}: loop {label!r} bound is not statically known")
-    if lp.trip % factor:
-        raise ScheduleError(
-            f"{program.name}: loop {label!r} trip count {lp.trip} is not "
-            f"divisible by {factor}")
-    if _pred_read_outside(program, lp.pred, {lp.back, lp.cmp_ip}):
-        raise ScheduleError(
-            f"{program.name}: loop {label!r} predicate p{lp.pred} is read "
-            f"outside the backedge")
-
-    counter = _free_vreg_block(program, 1)
-    inner_pred = _free_preg(program)
-    inner_label = _fresh_label(program, f"{label}__inner")
-
-    items = _to_items(program)
-    index = _instr_item_index(items)
-    start, stop = index[lp.head], index[lp.back]
-    body_and_step = [program.instructions[ip]
-                     for ip in range(lp.head, lp.cmp_ip)]
-    replacement: List[object] = [
-        Instruction(Opcode.MOV, width=1, dtype=DataType.DW,
-                    dsts=(RegOperand(counter),), srcs=(ImmOperand(0.0),)),
-        inner_label,
-        *body_and_step,
-        Instruction(Opcode.ADD, width=1, dtype=DataType.DW,
-                    dsts=(RegOperand(counter),),
-                    srcs=(RegOperand(counter), ImmOperand(1.0))),
-        Instruction(Opcode.CMP, width=1, dtype=DataType.DW,
-                    cond=Condition.LT,
-                    dsts=(PredOperand(inner_pred),),
-                    srcs=(RegOperand(counter), ImmOperand(float(factor)))),
-        _branch(inner_pred, inner_label),
-        program.instructions[lp.cmp_ip],
-        program.instructions[lp.back],
-    ]
-    new_items = items[:start] + replacement + items[stop + 1:]
-    return _emit(new_items, program.name)
-
-
-def _branch(pindex: int, label: str) -> Instruction:
-    from .instructions import Predication
-    from .operands import LabelOperand
-    return Instruction(Opcode.BR,
-                       pred=Predication(index=pindex),
-                       srcs=(LabelOperand(label),))
-
-
 def reorder(program: Program) -> Program:
     """Block-local list scheduling (labels and semantics preserved)."""
     scheduled = schedule_program(program)
@@ -483,19 +390,9 @@ def reorder(program: Program) -> Program:
 _Value = Tuple[tuple, float]
 
 
-def _block_ranges(program: Program) -> List[Tuple[int, int]]:
-    n = len(program.instructions)
-    leaders = {0, n} | set(program.labels.values())
-    for ip, instr in enumerate(program.instructions):
-        if instr.opcode in _TERMINATORS:
-            leaders.add(ip + 1)
-    marks = sorted(m for m in leaders if 0 <= m <= n)
-    return [(a, b) for a, b in zip(marks, marks[1:]) if b > a]
-
-
 def _block_graph(program: Program):
     """Block ranges, ip->block map, and block successor lists."""
-    ranges = _block_ranges(program)
+    ranges = _block_boundaries(program)
     block_of = {}
     for bi, (a, b) in enumerate(ranges):
         for ip in range(a, b):
@@ -1247,7 +1144,7 @@ def _forward_copies(program: Program) -> Optional[Program]:
     items = _to_items(program)
     index = _instr_item_index(items)
     forwarded = False
-    for a, b in _block_ranges(program):
+    for a, b in _block_boundaries(program):
         alias: Dict[int, int] = {}
         for ip in range(a, b):
             instr = program.instructions[ip]
@@ -1292,184 +1189,6 @@ def _forward_copies(program: Program) -> Optional[Program]:
 
 
 # ---------------------------------------------------------------------------
-# replace: idiom fragments onto dedicated ISA ops
-# ---------------------------------------------------------------------------
-
-REPLACE_IDIOMS = ("avg", "mad")
-
-
-def replace(program: Program, idiom: str) -> Program:
-    """Rewrite recognizable fragments onto a dedicated ISA op.
-
-    * ``"avg"``: ``add t = a, b; add t = t, 1; shr d = t, 1`` →
-      ``avg d = a, b`` (integer dtypes; exact while ``a + b + 1`` stays in
-      range, which the fragment differential samples and the end-to-end
-      harness enforces);
-    * ``"mad"``: ``mul t = a, b; add d = t, c`` → ``mad d = a, b, c``
-      (integer dtypes only — float ``mad`` rounds once where ``mul+add``
-      rounds twice, so the float form is *not* bit-identical and is
-      deliberately not matched).
-
-    The temporary ``t`` must never be read outside the fragment.  Every
-    rewrite is verified by executing both fragments on random register
-    states and requiring exact equality on all surviving registers.
-    """
-    if idiom not in REPLACE_IDIOMS:
-        raise ScheduleError(
-            f"unknown replace idiom {idiom!r}; have {REPLACE_IDIOMS}")
-    matcher = _match_avg if idiom == "avg" else _match_mad
-    out = program
-    for _ in range(64):
-        found = matcher(out)
-        if found is None:
-            return out
-        start, length, replacement, temp_regs = found
-        _verify_fragment(out.instructions[start:start + length],
-                         [replacement], temp_regs)
-        items = _to_items(out)
-        index = _instr_item_index(items)
-        positions = {index[start + k] for k in range(length)}
-        new_items: List[object] = []
-        for pos, item in enumerate(items):
-            if pos == index[start]:
-                new_items.append(replacement)
-            elif pos in positions:
-                continue
-            else:
-                new_items.append(item)
-        out = _emit(new_items, out.name)
-    return out
-
-
-def _reads_of_reg(program: Program, reg: int) -> List[int]:
-    return [ip for ip, instr in enumerate(program.instructions)
-            if reg in instruction_effects(instr).reg_uses]
-
-
-def _plain_int_alu(instr: Instruction, opcode: Opcode) -> bool:
-    return (instr.opcode is opcode and instr.pred is None
-            and instr.dtype not in (DataType.F, DataType.DF)
-            and len(instr.dsts) == 1
-            and isinstance(instr.dsts[0], (RegOperand, RangeOperand)))
-
-
-def _match_avg(program: Program):
-    instrs = program.instructions
-    for ip in range(len(instrs) - 2):
-        a1, a2, sh = instrs[ip], instrs[ip + 1], instrs[ip + 2]
-        if not (_plain_int_alu(a1, Opcode.ADD) and _plain_int_alu(a2, Opcode.ADD)
-                and _plain_int_alu(sh, Opcode.SHR)):
-            continue
-        if not (a1.width == a2.width == sh.width
-                and a1.dtype == a2.dtype == sh.dtype):
-            continue
-        t = a1.dsts[0]
-        if (a2.dsts[0] != t or a2.srcs[0] != t
-                or not isinstance(a2.srcs[1], ImmOperand)
-                or a2.srcs[1].value != 1):
-            continue
-        if (sh.srcs[0] != t or not isinstance(sh.srcs[1], ImmOperand)
-                or sh.srcs[1].value != 1):
-            continue
-        temp_regs = _operand_reg_set(t) if not isinstance(t, RangeOperand) \
-            else set(range(t.start, t.stop + 1))
-        dst_regs = _operand_reg_set(sh.dsts[0]) if not isinstance(sh.dsts[0], RangeOperand) \
-            else set(range(sh.dsts[0].start, sh.dsts[0].stop + 1))
-        if temp_regs & dst_regs:
-            continue  # temp must actually die
-        reads = set()
-        for r in temp_regs:
-            reads |= {i for i in _reads_of_reg(program, r)
-                      if i not in (ip + 1, ip + 2)}
-        if reads:
-            continue
-        replacement = Instruction(Opcode.AVG, width=sh.width, dtype=sh.dtype,
-                                  dsts=(sh.dsts[0],),
-                                  srcs=(a1.srcs[0], a1.srcs[1]))
-        return (ip, 3, replacement, temp_regs)
-    return None
-
-
-def _match_mad(program: Program):
-    instrs = program.instructions
-    for ip in range(len(instrs) - 1):
-        mul, add = instrs[ip], instrs[ip + 1]
-        if not (_plain_int_alu(mul, Opcode.MUL) and _plain_int_alu(add, Opcode.ADD)):
-            continue
-        if mul.width != add.width or mul.dtype != add.dtype:
-            continue
-        t = mul.dsts[0]
-        if add.srcs[0] == t:
-            other = add.srcs[1]
-        elif add.srcs[1] == t:
-            other = add.srcs[0]
-        else:
-            continue
-        temp_regs = _operand_reg_set(t) if not isinstance(t, RangeOperand) \
-            else set(range(t.start, t.stop + 1))
-        dst_regs = _operand_reg_set(add.dsts[0]) if not isinstance(add.dsts[0], RangeOperand) \
-            else set(range(add.dsts[0].start, add.dsts[0].stop + 1))
-        if temp_regs & dst_regs:
-            continue
-        reads = set()
-        for r in temp_regs:
-            reads |= {i for i in _reads_of_reg(program, r) if i != ip + 1}
-        if reads:
-            continue
-        replacement = Instruction(Opcode.MAD, width=add.width, dtype=add.dtype,
-                                  dsts=(add.dsts[0],),
-                                  srcs=(mul.srcs[0], mul.srcs[1], other))
-        return (ip, 2, replacement, temp_regs)
-    return None
-
-
-class _FragmentContext:
-    """Bare register-only execution context for idiom differentials."""
-
-    def __init__(self):
-        self.regs = RegisterFile()
-        self.symbols: Dict[str, float] = {}
-
-    def resolve_symbol(self, name: str) -> float:
-        return self.symbols.setdefault(name, 7.0)
-
-
-def _verify_fragment(original: Sequence[Instruction],
-                     replacement: Sequence[Instruction],
-                     temp_regs: Set[int], trials: int = 32) -> None:
-    """Run both fragments on random states; require exact equality."""
-    from . import semantics
-
-    def run(instrs, ctx):
-        prog = _emit(list(instrs) + [Instruction(Opcode.END)], "<frag>")
-        ip = 0
-        while ip < len(prog.instructions):
-            eff = semantics.execute(prog, ip, ctx)
-            if eff.ended:
-                break
-            ip = eff.next_ip if eff.next_ip is not None else ip + 1
-
-    rng = np.random.default_rng(0x5EED)
-    for _ in range(trials):
-        lanes = rng.integers(0, 1 << 10, size=(NUM_VREGS, VLEN)).astype(float)
-        a, b = _FragmentContext(), _FragmentContext()
-        for ctx in (a, b):
-            for reg in range(NUM_VREGS):
-                ctx.regs.write_lanes(reg, lanes[reg])
-        run(original, a)
-        run(replacement, b)
-        for reg in range(NUM_VREGS):
-            if reg in temp_regs:
-                continue
-            got = b.regs.read_lanes(reg, VLEN)
-            want = a.regs.read_lanes(reg, VLEN)
-            if not np.array_equal(got, want):
-                raise ScheduleError(
-                    f"replace differential mismatch on vr{reg}: "
-                    f"{want} != {got}")
-
-
-# ---------------------------------------------------------------------------
 # the Schedule API
 # ---------------------------------------------------------------------------
 
@@ -1489,29 +1208,21 @@ class Schedule:
     def unroll(self, label: Optional[str] = None, factor: int = 4) -> "Schedule":
         return Schedule(self.steps + (("unroll", (label, factor)),))
 
-    def split(self, label: Optional[str] = None, factor: int = 4) -> "Schedule":
-        return Schedule(self.steps + (("split", (label, factor)),))
-
     def reorder(self) -> "Schedule":
         return Schedule(self.steps + (("reorder", ()),))
 
     def stage_mem(self) -> "Schedule":
         return Schedule(self.steps + (("stage_mem", ()),))
 
-    def replace(self, idiom: str) -> "Schedule":
-        return Schedule(self.steps + (("replace", (idiom,)),))
-
     def describe(self) -> str:
         if not self.steps:
             return "baseline"
         parts = []
         for kind, args in self.steps:
-            if kind in ("unroll", "split"):
+            if kind == "unroll":
                 label, factor = args
                 at = f"@{label}" if label else ""
                 parts.append(f"{kind}{factor}{at}")
-            elif kind == "replace":
-                parts.append(f"replace_{args[0]}")
             else:
                 parts.append(kind)
         return "+".join(parts)
@@ -1543,30 +1254,27 @@ def apply_schedule(program: Program, schedule: Schedule,
     """Apply every step of ``schedule``; returns a fresh Program.
 
     Steps with an explicit loop label raise :class:`ScheduleError` when
-    illegal; label-less ``unroll``/``split`` steps auto-target every
+    illegal; label-less ``unroll`` steps auto-target every
     innermost counted loop and silently skip loops they cannot handle
     (adjusting the factor down to the largest divisor of the trip
     count).  An empty schedule returns the input program unchanged.
     """
     out = program
     for kind, args in schedule.steps:
-        if kind in ("unroll", "split"):
+        if kind == "unroll":
             label, factor = args
-            fn = unroll if kind == "unroll" else split
             if label is not None:
-                out = fn(out, label, factor, bindings)
+                out = unroll(out, label, factor, bindings)
             else:
                 for lb, use in _auto_unroll_targets(out, factor, bindings):
                     try:
-                        out = fn(out, lb, use, bindings)
+                        out = unroll(out, lb, use, bindings)
                     except ScheduleError:
                         continue
         elif kind == "reorder":
             out = reorder(out)
         elif kind == "stage_mem":
             out = stage_mem(out)
-        elif kind == "replace":
-            out = replace(out, args[0])
         else:  # pragma: no cover - Schedule builders gate the step names
             raise ScheduleError(f"unknown schedule step {kind!r}")
     if out is not program:
@@ -1574,15 +1282,15 @@ def apply_schedule(program: Program, schedule: Schedule,
     return out
 
 
-_STEP_RE = re.compile(r"^(unroll|split)(\d+)?(?:@([A-Za-z_]\w*))?$")
+_UNROLL_RE = re.compile(r"^unroll(\d+)?(?:@([A-Za-z_]\w*))?$")
 
 
 def parse_schedule(spec: str) -> Schedule:
     """Parse a ``chirun --schedule`` spec string into a Schedule.
 
     Grammar: steps joined by ``+``; each step one of ``unroll[N][@label]``,
-    ``split[N][@label]``, ``stage_mem``, ``reorder``, ``replace_avg``,
-    ``replace_mad``.  ``baseline``/``none`` name the empty schedule.
+    ``stage_mem``, ``reorder``.  ``baseline``/``none`` name the empty
+    schedule.
     """
     spec = (spec or "").strip()
     if spec in ("", "baseline", "none"):
@@ -1594,22 +1302,12 @@ def parse_schedule(spec: str) -> Schedule:
             sched = sched.stage_mem()
         elif token == "reorder":
             sched = sched.reorder()
-        elif token.startswith("replace_"):
-            idiom = token[len("replace_"):]
-            if idiom not in REPLACE_IDIOMS:
-                raise ScheduleError(f"unknown replace idiom {idiom!r}")
-            sched = sched.replace(idiom)
         else:
-            m = _STEP_RE.match(token)
+            m = _UNROLL_RE.match(token)
             if not m:
                 raise ScheduleError(
                     f"unknown schedule step {token!r} (grammar: "
-                    f"unroll[N][@label], split[N][@label], stage_mem, "
-                    f"reorder, replace_avg, replace_mad)")
-            kind, factor, label = m.group(1), m.group(2), m.group(3)
-            factor = int(factor) if factor else 4
-            if kind == "unroll":
-                sched = sched.unroll(label, factor)
-            else:
-                sched = sched.split(label, factor)
+                    f"unroll[N][@label], stage_mem, reorder)")
+            factor, label = m.group(1), m.group(2)
+            sched = sched.unroll(label, int(factor) if factor else 4)
     return sched

@@ -3,10 +3,10 @@
 The schedule-transform layer (:mod:`repro.isa.transforms`) gives every
 kernel a space of semantically-equal programs; this module picks one.
 The search is deliberately tiny — a fixed menu of schedule specs in the
-spirit of Exo's user-schedulable transforms — and is scored against the
-EU timing model (:func:`repro.isa.scheduler.estimated_serial_cycles`'
-pending-latency walk) weighted by loop trip counts, so an instruction
-inside a 100-trip loop costs 100× its straight-line estimate.
+spirit of Exo's user-schedulable transforms — and is scored by
+:func:`estimated_program_cost`: a pending-latency walk over the EU
+latency model weighted by loop trip counts, so an instruction inside a
+100-trip loop costs 100× its straight-line estimate.
 
 Winners are cached at module level keyed on the program *source* and the
 scalar bindings that resolve its loop bounds, so a serving layer or a
@@ -18,7 +18,7 @@ may win (the kernel harness wires a one-frame differential check in).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .opcodes import Opcode
 from .operands import ImmOperand, PredOperand, RegOperand
@@ -38,17 +38,14 @@ from .transforms import (
 #: unresolved by the caller's bindings.
 DEFAULT_TRIP = 16
 
-#: The schedule menu.  Order matters only for tie-breaks (first wins);
-#: ``baseline`` is always implicitly included and is the fallback when
-#: every transforming candidate fails to apply or verify.
+#: The schedule menu: every entry is the pick of some kernel at bench
+#: geometry (``tests/isa/test_transforms.py::TUNED_AT_BENCH`` pins each
+#: kernel's pick).  Order matters only for tie-breaks (first wins):
+#: Kalman costs the same under the last two entries.  ``baseline`` is
+#: the fallback when every transforming candidate fails to apply or
+#: verify.
 DEFAULT_CANDIDATES: Tuple[str, ...] = (
     "baseline",
-    "reorder",
-    "replace_avg+replace_mad",
-    "unroll2",
-    "unroll4",
-    "stage_mem",
-    "stage_mem+unroll4",
     "unroll4+stage_mem",
     "unroll8+stage_mem",
     "unroll8+stage_mem+reorder",
@@ -74,7 +71,7 @@ class TuningResult:
         return self.baseline_cost / self.cost
 
 
-#: winner cache: (name, source, bindings-key, candidates) -> TuningResult
+#: winner cache: (name, source, bindings-key) -> TuningResult
 _CACHE: Dict[tuple, TuningResult] = {}
 
 
@@ -153,8 +150,7 @@ def _backedge_trip(program: Program, head: int, back: int,
 
 
 def _loop_weights(program: Program,
-                  bindings: Optional[Dict[str, float]],
-                  default_trip: int) -> list:
+                  bindings: Optional[Dict[str, float]]) -> list:
     """Per-instruction execution-count weights from backward branches.
 
     Every backward branch span multiplies its body's weight by the
@@ -170,15 +166,15 @@ def _loop_weights(program: Program,
             continue
         trip = _backedge_trip(program, head, back, bindings)
         if trip is None:
-            trip = default_trip
+            trip = DEFAULT_TRIP
         for ip in range(head, back + 1):
             weight[ip] *= max(trip, 1)
     return weight
 
 
 def estimated_program_cost(program: Program,
-                           bindings: Optional[Dict[str, float]] = None,
-                           default_trip: int = DEFAULT_TRIP) -> float:
+                           bindings: Optional[Dict[str, float]] = None
+                           ) -> float:
     """Trip-weighted serial-cycle estimate of one program execution.
 
     A linear pending-latency walk (the :mod:`repro.isa.scheduler` model)
@@ -186,9 +182,9 @@ def estimated_program_cost(program: Program,
     stall waiting on a producer's latency — and that increment is scaled
     by the product of the trip counts of every loop (backward-branch
     span) containing the instruction.  Unknown trips weigh
-    ``default_trip``.
+    :data:`DEFAULT_TRIP`.
     """
-    weight = _loop_weights(program, bindings, default_trip)
+    weight = _loop_weights(program, bindings)
 
     total = 0.0
     pending: Dict[int, float] = {}  # reg -> cycle its value is ready
@@ -209,21 +205,19 @@ def estimated_program_cost(program: Program,
 
 def tune_program(program: Program,
                  bindings: Optional[Dict[str, float]] = None,
-                 candidates: Optional[Sequence[str]] = None,
                  verifier: Optional[Callable[[Program], bool]] = None,
                  use_cache: bool = True) -> TuningResult:
     """Pick the cheapest legal schedule for ``program``.
 
-    Every candidate spec is parsed, applied (specs that raise
-    :class:`~repro.isa.transforms.ScheduleError` — e.g. register
-    pressure — are skipped), and scored with
+    Every :data:`DEFAULT_CANDIDATES` spec is parsed, applied (specs
+    that raise :class:`~repro.isa.transforms.ScheduleError` — e.g.
+    register pressure — are skipped), and scored with
     :func:`estimated_program_cost`.  Candidates are then considered
     cheapest-first; the first one accepted by ``verifier`` (always, when
     no verifier is given) wins.  The unscheduled baseline is always a
     candidate and always verifies, so tuning cannot fail.
     """
-    menu = tuple(candidates) if candidates is not None else DEFAULT_CANDIDATES
-    key = (program.name, program.source, _bindings_key(bindings), menu)
+    key = (program.name, program.source, _bindings_key(bindings))
     if use_cache and key in _CACHE:
         hit = _CACHE[key]
         return TuningResult(schedule=hit.schedule, spec=hit.spec,
@@ -233,7 +227,7 @@ def tune_program(program: Program,
     baseline_cost = estimated_program_cost(program, bindings)
     scored = [(baseline_cost, 0, "baseline", BASELINE, program)]
     trials = 1
-    for order, spec in enumerate(menu):
+    for order, spec in enumerate(DEFAULT_CANDIDATES):
         schedule = parse_schedule(spec)
         if not schedule.steps:
             continue  # baseline already scored

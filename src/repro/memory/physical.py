@@ -52,9 +52,10 @@ class PhysicalMemory:
             self._shm = shared_memory.SharedMemory(
                 create=True, size=size, name=name)
             self._owns_shm = True
+            # a fresh segment is zero-filled by the OS; writing zeros here
+            # would only make every page resident in this process
             self._data = np.ndarray((size,), dtype=np.uint8,
                                     buffer=self._shm.buf)
-            self._data[:] = 0
         else:
             raise ValueError(
                 f"unknown physical backing {backing!r} "

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
 from repro.isa.opcodes import Opcode
-from repro.isa.scheduler import (
-    estimated_serial_cycles,
-    schedule_program,
-)
+from repro.isa.scheduler import schedule_program
+from repro.isa.tuning import estimated_program_cost
 from tests.helpers import FakeContext
 from repro.isa import semantics
 
@@ -156,8 +154,8 @@ class TestLatencyHiding:
     def test_estimated_cycles_improve(self):
         program = assemble(INDEPENDENT_LOADS)
         scheduled = schedule_program(program)
-        assert estimated_serial_cycles(scheduled) < \
-            estimated_serial_cycles(program)
+        assert estimated_program_cost(scheduled) < \
+            estimated_program_cost(program)
 
     def test_single_context_eu_time_improves(self):
         """Ground truth: execute both versions on the device model with

@@ -27,15 +27,28 @@ from repro.kernels import ALL_KERNELS
 from repro.kernels.harness import run_kernel_on_gma
 from repro.memory.address_space import AddressSpace
 from repro.memory.surface import Surface
-from repro.perf import SMOKE_GEOMETRIES
+from repro.perf import BENCH_GEOMETRIES, SMOKE_GEOMETRIES
 
 ENGINES = ("scalar", "gang", "fused", "megaop")
 
-#: Specs that exercise every primitive (unroll, split, reorder,
-#: stage_mem, replace); a spec that does not apply to a kernel is a
-#: documented no-op, which the harness treats as baseline.
-ALL_SPECS = ("unroll4", "split2", "reorder", "stage_mem",
-             "unroll8+stage_mem", "replace_avg+replace_mad")
+#: Specs that exercise every primitive (unroll, reorder, stage_mem);
+#: a spec that does not apply to a kernel is a documented no-op, which
+#: the harness treats as baseline.
+ALL_SPECS = ("unroll4", "reorder", "stage_mem", "unroll8+stage_mem")
+
+#: The tuner's pick per kernel at bench geometry.
+TUNED_AT_BENCH = {
+    "LinearFilter": "baseline",
+    "SepiaTone": "baseline",
+    "ProcAmp": "unroll4+stage_mem",
+    "Kalman": "unroll8+stage_mem",
+    "FMD": "unroll8+stage_mem+reorder",
+    "BOB": "unroll8+stage_mem+reorder",
+    "ADVDI": "unroll8+stage_mem+reorder",
+    "FGT": "unroll8+stage_mem+reorder",
+    "Bicubic": "unroll8+stage_mem+reorder",
+    "AlphaBlend": "unroll8+stage_mem+reorder",
+}
 
 
 def run_engines(program, bindings_list, surfaces_spec=None, inputs=None,
@@ -280,15 +293,6 @@ def test_unroll_rejects_nondividing_factor():
         T.unroll(program, "nope", 2)  # no such loop
 
 
-def test_split_strip_mines_and_preserves_results():
-    program = assemble(LOOP_ASM, name="loop")
-    split = T.split(program, "loop", 3)
-    assert len(T.find_counted_loops(split, None)) >= 1
-    base = run_program(program.source)
-    out = run_program(split.source)
-    assert np.array_equal(_final_reg(base, 3), _final_reg(out, 3))
-
-
 def test_reorder_is_list_scheduling():
     asm = """
     mov.16.f vr1 = 1.0
@@ -389,40 +393,6 @@ def test_stage_mem_forwards_and_deletes_staging_copies():
     assert np.array_equal(base.surfaces["OUT"], out.surfaces["OUT"])
 
 
-def test_replace_avg_idiom():
-    asm = """
-    mov.16.uw vr1 = 10
-    mov.16.uw vr2 = 13
-    add.16.uw vr3 = vr1, vr2
-    add.16.uw vr3 = vr3, 1
-    shr.16.uw vr4 = vr3, 1
-    end
-    """
-    program = assemble(asm, name="avg-idiom")
-    replaced = T.replace(program, "avg")
-    assert any(i.opcode.value == "avg" for i in replaced.instructions)
-    base, out = run_program(program.source), run_program(replaced.source)
-    assert np.array_equal(base.regs.read_lanes(4, 16),
-                          out.regs.read_lanes(4, 16))
-
-
-def test_replace_mad_is_integer_only():
-    """Float mul+add must NOT fuse (mad rounds once, mul+add twice)."""
-    int_asm = """
-    mov.16.dw vr1 = 3
-    mov.16.dw vr2 = 5
-    mul.16.dw vr3 = vr1, vr2
-    add.16.dw vr4 = vr3, vr1
-    end
-    """
-    float_asm = int_asm.replace(".dw", ".f")
-    assert any(i.opcode.value == "mad"
-               for i in T.replace(assemble(int_asm, name="i"),
-                                  "mad").instructions)
-    float_prog = assemble(float_asm, name="f")
-    assert T.replace(float_prog, "mad") is float_prog
-
-
 def test_transforms_return_fresh_programs():
     program = assemble(LOOP_ASM, name="loop")
     unrolled = T.unroll(program, "loop", 2)
@@ -505,8 +475,9 @@ def test_parse_schedule_round_trips():
     assert schedule.describe() == "unroll4+stage_mem+reorder"
     assert T.parse_schedule("baseline") == T.BASELINE
     assert T.parse_schedule("").describe() == "baseline"
-    with pytest.raises(T.ScheduleError):
-        T.parse_schedule("frobnicate")
+    for unknown in ("frobnicate", "split2", "replace_avg"):
+        with pytest.raises(T.ScheduleError):
+            T.parse_schedule(unknown)
 
 
 def test_apply_schedule_noop_returns_same_object():
@@ -552,3 +523,26 @@ def test_resolve_schedule_rejects_garbage():
     program = assemble(LOOP_ASM, name="loop")
     with pytest.raises(ReproError):
         tuning.resolve_schedule(program, 42)
+
+
+@pytest.fixture(scope="module")
+def bench_picks():
+    """Tuned spec per kernel at bench geometry (no verifier, no cache)."""
+    picks = {}
+    for cls in ALL_KERNELS:
+        kernel = cls()
+        geom = BENCH_GEOMETRIES[kernel.abbrev]
+        program = assemble(kernel.asm_source(geom), name=kernel.abbrev)
+        picks[kernel.abbrev] = tuning.tune_program(
+            program, kernel.constants(geom), use_cache=False).spec
+    return picks
+
+
+@pytest.mark.parametrize("abbrev", sorted(TUNED_AT_BENCH))
+def test_tuned_spec_at_bench_geometry(bench_picks, abbrev):
+    assert bench_picks[abbrev] == TUNED_AT_BENCH[abbrev]
+
+
+def test_every_menu_entry_wins_on_some_kernel(bench_picks):
+    """The menu holds only schedules some kernel picks."""
+    assert set(bench_picks.values()) == set(tuning.DEFAULT_CANDIDATES)

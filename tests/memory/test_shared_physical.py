@@ -22,6 +22,19 @@ def _segment_exists(name: str) -> bool:
     return True
 
 
+def _rss_shmem_kb():
+    """This process's resident shared memory in kB, or None where the
+    kernel does not report it."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 class TestBacking:
     def test_local_backing_has_no_segment(self):
         mem = PhysicalMemory(size=SIZE)
@@ -41,6 +54,23 @@ class TestBacking:
             assert not mem.read(pfn * PAGE_SIZE, PAGE_SIZE).any()
             mem.write(pfn * PAGE_SIZE, np.arange(16, dtype=np.uint8))
             assert mem.read(pfn * PAGE_SIZE, 16).tolist() == list(range(16))
+        finally:
+            mem.close()
+
+    def test_fresh_segment_reads_zero_without_becoming_resident(self):
+        """The OS zero-fills a new segment, so building the pool must not
+        touch its pages.  Residency is measured before any read, because
+        reading a page makes it resident."""
+        before = _rss_shmem_kb()
+        if before is None:
+            pytest.skip("/proc/self/status reports no RssShmem")
+        size = 32 * 1024 * 1024
+        mem = PhysicalMemory(size=size, backing="shared")
+        try:
+            grown_kb = _rss_shmem_kb() - before
+            assert grown_kb < size // 1024 // 4, grown_kb
+            for pfn in (0, 1, mem.num_frames // 2, mem.num_frames - 1):
+                assert not mem.read(pfn * PAGE_SIZE, PAGE_SIZE).any()
         finally:
             mem.close()
 
