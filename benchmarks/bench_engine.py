@@ -31,7 +31,9 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_engine.py --check   # CI gate
 
 or under pytest (``pytest benchmarks/bench_engine.py``).  Writes
-``BENCH_engine.json`` next to the working directory (``--json`` to move).
+``BENCH_engine.json`` next to the working directory (``--json`` to
+move); a ``--check`` run writes only to an explicit ``--json`` path, so
+gating never rewrites the committed row.
 """
 
 from __future__ import annotations
@@ -541,8 +543,9 @@ def main(argv=None) -> int:
                         help="launch width (default %(default)s)")
     parser.add_argument("--iters", type=int, default=DEFAULT_ITERS,
                         help="loop trip count (default %(default)s)")
-    parser.add_argument("--json", type=str, default="BENCH_engine.json",
-                        help="result file (default %(default)s)")
+    parser.add_argument("--json", type=str, default=None,
+                        help="result file (default BENCH_engine.json; a "
+                             "--check run writes one only when given)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless gang reaches "
                              f">= {CHECK_SPEEDUP:.0f}x scalar, fused "
@@ -555,9 +558,11 @@ def main(argv=None) -> int:
 
     outcome = compare(args.shreds, args.iters)
     print(report(outcome))
-    with open(args.json, "w") as handle:
-        json.dump(outcome, handle, indent=2)
-    print(f"wrote {args.json}")
+    path = args.json or (None if args.check else "BENCH_engine.json")
+    if path:
+        with open(path, "w") as handle:
+            json.dump(outcome, handle, indent=2)
+        print(f"wrote {path}")
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a") as handle:

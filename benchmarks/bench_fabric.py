@@ -22,7 +22,9 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_fabric.py --check   # CI gate
 
 or under pytest (``pytest benchmarks/bench_fabric.py``).  Writes
-``BENCH_fabric.json``.
+``BENCH_fabric.json`` (``--json`` to move); a ``--check`` run writes
+only to an explicit ``--json`` path, so gating never rewrites the
+committed row.
 """
 
 from __future__ import annotations
@@ -287,8 +289,9 @@ def main(argv=None) -> int:
     parser.add_argument("--iters", type=int, default=PROCESS_ITERS,
                         help="loop iterations per shred "
                              "(default %(default)s)")
-    parser.add_argument("--json", type=str, default="BENCH_fabric.json",
-                        help="result file (default %(default)s)")
+    parser.add_argument("--json", type=str, default=None,
+                        help="result file (default BENCH_fabric.json; a "
+                             "--check run writes one only when given)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless 4 process workers "
                              f"reach >= {CHECK_PROCESS_SPEEDUP:.1f}x over "
@@ -302,9 +305,11 @@ def main(argv=None) -> int:
     crash = measure_worker_crash()
     print(report_process(outcome, crash))
     payload = {"scaling": outcome, "crash": crash}
-    with open(args.json, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    print(f"wrote {args.json}")
+    path = args.json or (None if args.check else "BENCH_fabric.json")
+    if path:
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2)
+        print(f"wrote {path}")
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a") as handle:

@@ -31,7 +31,8 @@ Run standalone::
 
 or under pytest (``pytest benchmarks/bench_schedule.py``).  Writes
 ``BENCH_schedule.json`` next to the working directory (``--json`` to
-move).
+move); a ``--check`` run writes only to an explicit ``--json`` path, so
+gating never rewrites the committed row.
 """
 
 from __future__ import annotations
@@ -306,8 +307,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help="best-of-N wall clock (default %(default)s)")
-    parser.add_argument("--json", type=str, default="BENCH_schedule.json",
-                        help="result file (default %(default)s)")
+    parser.add_argument("--json", type=str, default=None,
+                        help="result file (default BENCH_schedule.json; a "
+                             "--check run writes one only when given)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless >= "
                              f"{CHECK_MIN_KERNELS} kernels reach >= "
@@ -319,9 +321,11 @@ def main(argv=None) -> int:
 
     outcome = compare(args.repeats)
     print(report(outcome))
-    with open(args.json, "w") as handle:
-        json.dump(outcome, handle, indent=2)
-    print(f"wrote {args.json}")
+    path = args.json or (None if args.check else "BENCH_schedule.json")
+    if path:
+        with open(path, "w") as handle:
+            json.dump(outcome, handle, indent=2)
+        print(f"wrote {path}")
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a") as handle:

@@ -20,7 +20,9 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_serving.py --check   # CI gate
 
 or under pytest (``pytest benchmarks/bench_serving.py``).  Writes
-``BENCH_serving.json``.
+``BENCH_serving.json`` (``--json`` to move); a ``--check`` run writes
+only to an explicit ``--json`` path, so gating never rewrites the
+committed row.
 """
 
 from __future__ import annotations
@@ -302,8 +304,9 @@ def main(argv=None) -> int:
     parser.add_argument("--lanes", type=int, default=8,
                         help="queued launches per coalescing probe "
                              "(default %(default)s)")
-    parser.add_argument("--json", type=str, default="BENCH_serving.json",
-                        help="result file (default %(default)s)")
+    parser.add_argument("--json", type=str, default=None,
+                        help="result file (default BENCH_serving.json; a "
+                             "--check run writes one only when given)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless throughput >= "
                              f"{CHECK_THROUGHPUT:.0f} req/s at p99 <= "
@@ -314,9 +317,11 @@ def main(argv=None) -> int:
 
     outcome = compare(args.tenants, args.requests, args.devices, args.lanes)
     print(report(outcome))
-    with open(args.json, "w") as handle:
-        json.dump(outcome, handle, indent=2)
-    print(f"wrote {args.json}")
+    path = args.json or (None if args.check else "BENCH_serving.json")
+    if path:
+        with open(path, "w") as handle:
+            json.dump(outcome, handle, indent=2)
+        print(f"wrote {path}")
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a") as handle:

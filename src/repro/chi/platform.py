@@ -79,9 +79,7 @@ class ExoPlatform:
     ``gma_engine`` selects the execution engine every GMA instance uses
     (``"scalar"``, ``"gang"``, ``"fused"`` or ``"megaop"``, see
     :mod:`repro.gma.gang`, :mod:`repro.gma.fusion` and
-    :mod:`repro.gma.megaop`); ``megaop_threshold`` overrides the megaop
-    tier's promotion threshold (chain traversals of one hot cycle
-    before compilation).
+    :mod:`repro.gma.megaop`).
 
     ``fabric_workers=N`` moves the GMA devices out of process: physical
     memory is rebuilt over a shared-memory segment, a
@@ -109,7 +107,6 @@ class ExoPlatform:
                  atr_shared_cache: bool = True,
                  gma_engine: str = "scalar",
                  fabric_workers: int = 0,
-                 megaop_threshold: Optional[int] = None,
                  schedule=None):
         if num_gma_devices < 1:
             raise SchedulingError(
@@ -134,7 +131,7 @@ class ExoPlatform:
             # the pool validates that the backing is actually shared
             self.fabric_pool = ProcessWorkerPool(
                 space.physical, fabric_workers, gma_config=gma_config,
-                engine=gma_engine, megaop_threshold=megaop_threshold)
+                engine=gma_engine)
         self.space = space or AddressSpace()
         self.coherence = CoherencePoint(coherent=coherent,
                                         strict=strict_coherence)
@@ -157,8 +154,7 @@ class ExoPlatform:
             for i in range(num_gma_devices):
                 gma = GmaDevice(self.space, exoskeleton=self.exoskeleton,
                                 config=gma_config, coherence=self.coherence,
-                                engine=gma_engine,
-                                megaop_threshold=megaop_threshold)
+                                engine=gma_engine)
                 self.fabric.register(GmaFabricDevice(
                     f"gma{i}", gma,
                     queue=self._make_queue(f"gma{i}", queue_depth, policy)))
@@ -174,8 +170,7 @@ class ExoPlatform:
                                     exoskeleton=self.exoskeleton,
                                     config=gma_config,
                                     coherence=self.coherence,
-                                    engine=gma_engine,
-                                    megaop_threshold=megaop_threshold)
+                                    engine=gma_engine)
         else:
             #: The primary accelerator, kept for single-device call sites.
             self.device = self.fabric.get("gma0").gma

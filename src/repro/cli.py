@@ -95,12 +95,6 @@ def chirun(argv=None) -> int:
                               "give an explicit spec like "
                               "'unroll4+stage_mem' (steps: unroll[N], "
                               "stage_mem, reorder)")
-    parser_.add_argument("--megaop-threshold", type=int, default=None,
-                         metavar="N",
-                         help="chain traversals of one hot cycle before "
-                              "the megaop engine promotes it to a single "
-                              "composed numpy expression (default 8; "
-                              "only meaningful with --engine megaop)")
     parser_.add_argument("--fabric-workers", type=int, default=0,
                          metavar="N",
                          help="host the GMA devices on N worker processes "
@@ -140,7 +134,6 @@ def chirun(argv=None) -> int:
         platform = ExoPlatform(num_gma_devices=args.gma_devices,
                                gma_engine=args.engine,
                                fabric_workers=args.fabric_workers,
-                               megaop_threshold=args.megaop_threshold,
                                schedule=args.schedule)
         runtime = ChiRuntime(platform)
         program = _load(args.image)

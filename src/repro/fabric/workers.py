@@ -95,7 +95,6 @@ class WorkerConfig:
     shm_size: int
     gma_config: GmaTimingConfig
     engine: str = "scalar"
-    megaop_threshold: Optional[int] = None
     #: Launch-payload staging segment (``None`` disables staging and
     #: every launch pickles over the pipe).
     staging_name: Optional[str] = None
@@ -187,8 +186,7 @@ class _WorkerHost:
         if device is None:
             device = GmaDevice(
                 space, config=self.config.gma_config,
-                engine=self.config.engine,
-                megaop_threshold=self.config.megaop_threshold)
+                engine=self.config.engine)
             self.devices[name] = device
         return device
 
@@ -515,7 +513,6 @@ class ProcessWorkerPool:
     def __init__(self, physical: PhysicalMemory, num_workers: int,
                  gma_config: Optional[GmaTimingConfig] = None,
                  engine: str = "scalar",
-                 megaop_threshold: Optional[int] = None,
                  staging_bytes: int = STAGING_BYTES):
         if num_workers < 1:
             raise FabricError(
@@ -527,7 +524,6 @@ class ProcessWorkerPool:
         self.physical = physical
         self.gma_config = gma_config or GmaTimingConfig()
         self.engine = engine
-        self.megaop_threshold = megaop_threshold
         self.closed = False
         self._seq = itertools.count(1)
         self._keys: Dict[int, int] = {}      # id(space) -> key
@@ -551,7 +547,6 @@ class ProcessWorkerPool:
                              shm_size=physical.size,
                              gma_config=self.gma_config,
                              engine=engine,
-                             megaop_threshold=megaop_threshold,
                              staging_name=staging_name,
                              staging_size=staging_size),
                 staging=staging))

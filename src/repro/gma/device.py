@@ -47,8 +47,7 @@ class GmaDevice:
                  exoskeleton: Optional[Exoskeleton] = None,
                  config: Optional[GmaTimingConfig] = None,
                  coherence: Optional[CoherencePoint] = None,
-                 engine: str = "scalar",
-                 megaop_threshold: Optional[int] = None):
+                 engine: str = "scalar"):
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown GMA engine {engine!r} (choose from {self.ENGINES})")
@@ -56,9 +55,6 @@ class GmaDevice:
         config = config if config is not None else GmaTimingConfig()
         self.config = config
         self.engine = engine
-        #: Chain traversals of one block cycle before megaop promotion
-        #: (None -> :data:`repro.gma.megaop.PROMOTE_THRESHOLD`).
-        self.megaop_threshold = megaop_threshold
         self.exoskeleton = exoskeleton or Exoskeleton(space)
         self.coherence = coherence or CoherencePoint(coherent=True)
         self.view = SequencerView(

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutionFault
-from ..isa import predecode
+from ..isa import cfg, predecode
 from ..isa.blocks import BasicBlock, discover_blocks
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
@@ -53,7 +53,6 @@ from .gang import _apply_alu_batched
 from .interpreter import (
     MAX_INSTRUCTIONS,
     ShredRun,
-    _instr_effects,
     trace_entry,
 )
 
@@ -77,17 +76,17 @@ class CompiledBlock:
         #: the no-datapath controls (nop/fence).
         steps: List[Optional[object]] = []
         entries: List[Tuple[int, int]] = []
-        effects: List[tuple] = []
+        effects: List[cfg.Effects] = []
         for ip in range(block.start, block.start + block.body_len):
             pre = pre_prog.instrs[ip]
             steps.append(pre if pre.batch_class == predecode.BATCH_ALU
                          else None)
             entries.append(trace_entry(pre.instr))
-            effects.append(_instr_effects(pre.instr))
+            effects.append(cfg.effects(pre.instr))
         if block.term is not None:
             term = pre_prog.instrs[block.term]
             entries.append(trace_entry(term.instr))
-            effects.append(_instr_effects(term.instr))
+            effects.append(cfg.effects(term.instr))
         else:
             term = None
         self.steps = tuple(steps)

@@ -412,7 +412,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
     recorder = None
     if megaop and fusion:
         from .megaop import MegaSession, run_megaop
-        mega = MegaSession(device, program, pre_prog, fused, outcome)
+        mega = MegaSession(program, pre_prog, fused, outcome)
         recorder = mega.recorder
     # per-run symbol memo: bindings are frozen at spawn, so each shred's
     # symbol resolves once per run instead of once per read

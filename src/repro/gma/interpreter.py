@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from ..errors import ExecutionFault, TlbMiss
 from ..exo.exoskeleton import Exoskeleton
 from ..exo.shred import ShredDescriptor, ShredState
-from ..isa import semantics
+from ..isa import cfg, semantics
 from ..isa.opcodes import OpKind
 from ..isa.types import VLEN
 from .context import ShredContext
@@ -35,8 +35,9 @@ class ShredRun:
 
     shred: ShredDescriptor
     trace: List[Tuple[int, int]] = field(default_factory=list)
-    #: Per-trace-entry (uses, defs) register sets; None for proxy
-    #: penalties.  Consumed by the scoreboard post-pass.
+    #: Per-trace-entry :class:`~repro.isa.cfg.Effects` under a
+    #: scoreboard, else None (always None for proxy penalties).
+    #: Consumed by the scoreboard post-pass.
     trace_effects: List = field(default_factory=list)
     instructions: int = 0
     issue_cycles: int = 0
@@ -81,10 +82,8 @@ def account_instruction(rec: ShredRun, instr, effect,
     rec.instructions += 1
     issue, latency = trace_entry(instr)
     rec.trace.append((issue, latency))
-    if config.scoreboard:
-        rec.trace_effects.append(_instr_effects(instr))
-    else:
-        rec.trace_effects.append(None)
+    rec.trace_effects.append(cfg.effects(instr) if config.scoreboard
+                             else None)
     rec.issue_cycles += issue
     rec.bytes_read += effect.bytes_read
     rec.bytes_written += effect.bytes_written
@@ -202,33 +201,7 @@ class ShredInterpreter:
 
 # -- scoreboard post-pass ----------------------------------------------------
 
-_effects_cache: dict = {}
-
-
-def _instr_effects(instr):
-    """(uses, defs) register sets, cached by instruction *value*.
-
-    Instructions are frozen dataclasses, so equal instructions share one
-    entry; keying by identity would break when CPython recycles object
-    ids across programs.
-    """
-    key = instr
-    cached = _effects_cache.get(key)
-    if cached is None:
-        from ..isa.scheduler import _effects
-
-        eff = _effects(instr)
-        # predicates share the dependence namespace, offset past registers
-        uses = frozenset(eff.reg_uses) | frozenset(
-            1000 + p for p in eff.pred_uses)
-        defs = frozenset(eff.reg_defs) | frozenset(
-            1000 + p for p in eff.pred_defs)
-        cached = (uses, defs)
-        _effects_cache[key] = cached
-    return cached
-
-
-def _scoreboard_trace(trace, effects):
+def _scoreboard_trace(trace, trace_effects):
     """Rewrite per-entry latencies so only true dependences stall.
 
     Entry i's latency becomes the wait instruction i+1 would incur for its
@@ -238,18 +211,17 @@ def _scoreboard_trace(trace, effects):
     ready: dict = {}
     clock = 0
     waits = [0] * (len(trace) + 1)
-    for i, ((issue, latency), eff) in enumerate(zip(trace, effects)):
+    for i, ((issue, latency), eff) in enumerate(zip(trace, trace_effects)):
         if eff is not None:
-            uses, defs = eff
             wait = 0
-            for reg in uses:
-                t = ready.get(reg)
+            for key in eff.sb_uses:
+                t = ready.get(key)
                 if t is not None and t > clock:
                     wait = max(wait, t - clock)
             waits[i] = wait
             clock += wait + issue
-            for reg in defs:
-                ready[reg] = clock + latency
+            for key in eff.sb_defs:
+                ready[key] = clock + latency
         else:
             clock += issue
     # attach each instruction's *successor* wait as its not-ready window

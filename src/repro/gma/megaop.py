@@ -16,10 +16,10 @@ Promotion is profile guided: a :class:`TraceRecorder` rides along with
 the fused engine, noting each block exit (uniform-taken ``"t"``,
 uniform-fall ``"f"``, fall-through ``"x"``) and each batched memory
 retirement (``"m"``).  When the note stream revisits an ip, the window
-between the two visits is a cycle; after ``megaop_threshold`` recorded
-traversals of the *same* cycle it compiles.  Compiled megaops live in
-the id-keyed :class:`~repro.isa.predecode.PredecodeCache` beside the
-fused entry and are evicted with it.
+between the two visits is a cycle; after :data:`PROMOTE_THRESHOLD`
+recorded traversals of the *same* cycle it compiles.  Compiled megaops
+live in the id-keyed :class:`~repro.isa.predecode.PredecodeCache` beside
+the fused entry and are evicted with it.
 
 **Determinism.**  A megaop never invents a new result: every specialized
 step reproduces ``_apply_alu_batched``'s arithmetic exactly (same
@@ -43,16 +43,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutionFault, TlbMiss
-from ..isa import predecode
+from ..isa import cfg, predecode
 from ..isa.opcodes import Opcode
 from ..isa.operands import ImmOperand, PredOperand, RegOperand, SymOperand
 from ..isa.semantics import _COMPARES
 from ..isa.types import DataType, VLEN
 from .gang import _apply_alu_batched, _apply_mem_batched, _read_batched
-from .interpreter import MAX_INSTRUCTIONS, _instr_effects, trace_entry
+from .interpreter import MAX_INSTRUCTIONS, trace_entry
 
-#: Recorded traversals of one cycle before it compiles (the
-#: ``--megaop-threshold`` knob overrides per device).
+#: Recorded traversals of one cycle before it compiles.
 PROMOTE_THRESHOLD = 8
 #: Recorder window cap: a cycle longer than this many block/mem events
 #: never closes (it would not amortize its compile anyway).
@@ -148,19 +147,16 @@ class TraceRecorder:
 class MegaSession:
     """One run's view of the program's persistent promotion state."""
 
-    __slots__ = ("cache", "ops", "threshold", "fused", "pre_prog",
-                 "outcome", "recorder")
+    __slots__ = ("cache", "ops", "fused", "pre_prog", "outcome",
+                 "recorder")
 
-    def __init__(self, device, program, pre_prog, fused, outcome):
+    def __init__(self, program, pre_prog, fused, outcome):
         cache = predecode.CACHE.lookup_megaops(program)
         if cache is None:
             cache = MegaCache()
             predecode.CACHE.store_megaops(program, cache)
         self.cache = cache
         self.ops = cache.ops
-        threshold = getattr(device, "megaop_threshold", None)
-        self.threshold = max(1, int(threshold if threshold is not None
-                                    else PROMOTE_THRESHOLD))
         self.fused = fused
         self.pre_prog = pre_prog
         self.outcome = outcome
@@ -174,7 +170,7 @@ class MegaSession:
         if key in cache.dead:
             return
         count = cache.counts.get(key, 0) + 1
-        if count < self.threshold:
+        if count < PROMOTE_THRESHOLD:
             cache.counts[key] = count
             return
         cache.counts.pop(key, None)
@@ -559,7 +555,7 @@ def compile_megaop(head: int, cycle: tuple, fused, pre_prog):
             item[1].instr if item[0] in ("alu", "mem") else item[1])
         entry = trace_entry(instr)
         entries.append(entry)
-        effects.append(_instr_effects(instr))
+        effects.append(cfg.effects(instr))
         issue_prefix.append(issue_prefix[-1] + entry[0])
         is_mem = item[0] == "mem"
         mem_prefix.append(mem_prefix[-1] + (1 if is_mem else 0))

@@ -1,4 +1,4 @@
-"""Basic-block discovery over a predecoded program.
+"""Basic-block discovery and reconvergence over a predecoded program.
 
 The gang engine's fused executor (:mod:`repro.gma.fusion`) amortizes its
 per-instruction Python dispatch over whole straight-line regions.  This
@@ -8,15 +8,12 @@ the per-instruction loop — batched ALU ops plus the no-datapath controls
 (``nop``/``fence``) — optionally ending with one *terminator*
 (``jmp``/``br``/``end``) whose outcome decides the successor.
 
-Leaders (block entry points) sit at:
-
-* instruction 0 (the common entry),
-* every label (any label is a potential branch target or shred entry),
-* every well-formed branch's target *and* its fall-through,
-* the fall-through of every non-fusable boundary instruction (memory
-  ops, per-shred steps, peels): the per-instruction loop resumes there
-  after handling the boundary, and fusion must be able to pick the trace
-  back up.
+Leaders (block entry points) are :func:`repro.isa.cfg.leaders` —
+instruction 0, every label (so every branch target) and the ip after
+every ``jmp``/``br``/``end`` — plus one fusion cut: the fall-through of
+every other non-fusable boundary instruction (memory ops, per-shred
+steps, peels), where the per-instruction loop resumes after handling
+the boundary and fusion must be able to pick the trace back up.
 
 A block never spans a leader — a backward branch into the middle of a
 straight-line run splits it — so entering a block at its ``start`` is the
@@ -31,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from . import cfg
 from .opcodes import Opcode
 from .predecode import (
     BATCH_ALU,
@@ -42,8 +40,6 @@ from .predecode import (
 
 #: Control ops with no datapath effect: fusable into a block body.
 _BODY_CONTROL = (Opcode.NOP, Opcode.FENCE)
-#: Control ops that end a block and pick its successor.
-_TERMINATORS = (Opcode.JMP, Opcode.BR, Opcode.END)
 
 
 def fusable_body(pre: PredecodedInstr) -> bool:
@@ -62,7 +58,7 @@ def is_terminator(pre: PredecodedInstr) -> bool:
     per-instruction loop peels it exactly as before.
     """
     return (pre.batch_class == BATCH_CONTROL
-            and pre.opcode in _TERMINATORS)
+            and pre.opcode in cfg.TERMINATORS)
 
 
 @dataclass(frozen=True)
@@ -93,18 +89,11 @@ def discover_blocks(pre_prog: PredecodedProgram,
     """All non-empty basic blocks, keyed by leader ip."""
     instrs = pre_prog.instrs
     count = len(instrs)
-    leaders = {0}
-    for label_ip in labels.values():
-        leaders.add(label_ip)
-    for ip, pre in enumerate(instrs):
-        if is_terminator(pre):
-            if pre.target is not None:
-                leaders.add(pre.target)
-            leaders.add(ip + 1)
-        elif not fusable_body(pre):
-            # boundary (memory / per-shred / peel): the per-instruction
-            # loop resumes at the fall-through
-            leaders.add(ip + 1)
+    leaders = cfg.leaders([pre.instr for pre in instrs], labels)
+    # fusion cuts: after a boundary (memory / per-shred / peel) the
+    # per-instruction loop resumes at the fall-through
+    leaders.update(ip + 1 for ip, pre in enumerate(instrs)
+                   if not fusable_body(pre))
 
     blocks: Dict[int, BasicBlock] = {}
     for start in sorted(leader for leader in leaders
@@ -144,91 +133,11 @@ def discover_blocks(pre_prog: PredecodedProgram,
 
 
 def _divergable(pre: PredecodedInstr) -> bool:
-    """Can this instruction send different lanes down different edges?"""
-    return (pre.batch_class == BATCH_CONTROL
-            and pre.opcode in (Opcode.JMP, Opcode.BR)
-            and pre.instr.pred is not None
-            and pre.target is not None)
+    """Can this instruction send different lanes down different edges?
 
-
-def instruction_successors(
-        pre_prog: PredecodedProgram) -> List[Tuple[int, ...]]:
-    """CFG successor ips per instruction (empty tuple = program exit).
-
-    Conservative on purpose: a malformed branch (``BATCH_PEEL``) has an
-    unknowable destination, so it gets no successors — paths through it
-    reach the virtual exit directly and never establish reconvergence.
-    Running off the end of the program also exits (the interpreters
-    finish such shreds normally).
+    Only a well-formed branch has a ``target``; a guarded one may split.
     """
-    count = len(pre_prog.instrs)
-    succs: List[Tuple[int, ...]] = []
-    for ip, pre in enumerate(pre_prog.instrs):
-        if pre.opcode is Opcode.END:
-            succs.append(())
-        elif pre.batch_class == BATCH_CONTROL \
-                and pre.opcode in (Opcode.JMP, Opcode.BR):
-            if pre.instr.pred is None:
-                succs.append((pre.target,))
-            else:
-                succs.append((pre.target, ip + 1))
-        elif pre.batch_class == BATCH_PEEL \
-                and pre.opcode in (Opcode.JMP, Opcode.BR):
-            succs.append(())  # malformed: destination unknowable
-        else:
-            succs.append((ip + 1,) if ip + 1 < count else ())
-    return succs
-
-
-def post_dominators(succs: List[Tuple[int, ...]]) -> List[int]:
-    """Post-dominator sets as int bitsets (bit ``i`` = ip ``i``).
-
-    Iterative dataflow over the reverse CFG against a virtual exit node:
-    ``pdom(n) = {n} | intersection(pdom(s) for s in succs(n))``, with
-    exit-reaching nodes seeded from the empty set.  Nodes that cannot
-    reach the exit (infinite loops) converge to "everything", which is
-    harmless: the ipdom extraction below demands a witness chain, so no
-    bogus reconvergence point is ever produced from them alone.
-    """
-    count = len(succs)
-    full = (1 << count) - 1
-    pdom = [full] * count
-    changed = True
-    while changed:
-        changed = False
-        for ip in range(count - 1, -1, -1):
-            targets = succs[ip]
-            if targets:
-                new = full
-                for t in targets:
-                    new &= pdom[t]
-            else:
-                new = 0
-            new |= 1 << ip
-            if new != pdom[ip]:
-                pdom[ip] = new
-                changed = True
-    return pdom
-
-
-def _ipdom(branch: int, pdom: List[int]) -> Optional[int]:
-    """The immediate post-dominator of ``branch``, or None.
-
-    The strict post-dominators of a node form a chain; the immediate one
-    ``r`` is the unique member with ``pdom(branch) == pdom(r) | {branch}``.
-    Demanding that witness equation filters out the saturated "cannot
-    reach exit" fixpoint values.
-    """
-    strict = pdom[branch] & ~(1 << branch)
-    want = pdom[branch]
-    r = strict
-    while r:
-        low = r & -r
-        ip = low.bit_length() - 1
-        if (pdom[ip] | (1 << branch)) == want:
-            return ip
-        r &= r - 1
-    return None
+    return pre.target is not None and pre.instr.pred is not None
 
 
 def _region_pure(branch: int, reconv: int, succs: List[Tuple[int, ...]],
@@ -244,33 +153,29 @@ def _region_pure(branch: int, reconv: int, succs: List[Tuple[int, ...]],
     ``END`` and faultable instructions are fine: a lane that retires or
     peels mid-region simply never reports to the join.
     """
-    seen = set()
-    stack = [s for s in succs[branch] if s != reconv]
-    while stack:
-        ip = stack.pop()
-        if ip in seen:
-            continue
-        seen.add(ip)
-        if instrs[ip].batch_class == BATCH_PEEL:
-            return False
-        stack.extend(s for s in succs[ip] if s != reconv and s not in seen)
-    return True
+    return not any(instrs[ip].batch_class == BATCH_PEEL
+                   for ip in cfg.reachable(succs, succs[branch], reconv))
 
 
-def annotate_reconvergence(pre_prog: PredecodedProgram) -> None:
+def annotate_reconvergence(pre_prog: PredecodedProgram,
+                           labels: Dict[str, int]) -> None:
     """Attach ``reconv`` / ``repackable`` to every divergable branch.
 
     Called once per program from :func:`~.predecode.predecode_program`
     (gangable programs only — the scalar engine never reads these).
+    A malformed branch (``BATCH_PEEL``) has no edge in
+    :func:`repro.isa.cfg.instruction_successors`: paths through it reach
+    the exit directly and never establish reconvergence.
     """
     if not any(_divergable(pre) for pre in pre_prog.instrs):
         return
-    succs = instruction_successors(pre_prog)
-    pdom = post_dominators(succs)
+    succs = cfg.instruction_successors(
+        [pre.instr for pre in pre_prog.instrs], labels)
+    pdom = cfg.post_dominators(succs)
     for ip, pre in enumerate(pre_prog.instrs):
         if not _divergable(pre):
             continue
-        reconv = _ipdom(ip, pdom)
+        reconv = cfg.immediate_dominator(pdom, ip)
         pre.reconv = reconv
         pre.repackable = (reconv is not None
                           and _region_pure(ip, reconv, succs,

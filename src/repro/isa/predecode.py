@@ -32,11 +32,11 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from .cfg import branch_target
 from .opcodes import Opcode
 from .operands import (
     BlockOperand,
     ImmOperand,
-    LabelOperand,
     MemOperand,
     PredOperand,
     RangeOperand,
@@ -226,19 +226,13 @@ def _mem_batchable(instr) -> bool:
     return False
 
 
-def _classify(instr, labels: Dict[str, int]) -> str:
+def _classify(instr, target: Optional[int]) -> str:
     op = instr.opcode
     if op in _PEEL_OPS:
         return BATCH_PEEL
     if op in (Opcode.JMP, Opcode.BR):
-        if op is Opcode.BR and instr.pred is None:
-            return BATCH_PEEL  # malformed; scalar path reports it
-        if instr.pred is not None and not 0 <= instr.pred.index < NUM_PREGS:
-            return BATCH_PEEL
-        target = instr.srcs[-1] if instr.srcs else None
-        if not isinstance(target, LabelOperand) or target.name not in labels:
-            return BATCH_PEEL
-        return BATCH_CONTROL
+        # a malformed branch (no target) peels; the scalar path reports it
+        return BATCH_PEEL if target is None else BATCH_CONTROL
     if op in _CONTROL_OPS:
         return BATCH_CONTROL
     if op in _MEMORY_OPS:
@@ -261,18 +255,14 @@ def predecode_program(program: Program) -> PredecodedProgram:
     reason = ""
     for instr in program.instructions:
         op = instr.opcode
-        target = None
-        if op in (Opcode.JMP, Opcode.BR) and instr.srcs:
-            last = instr.srcs[-1]
-            if isinstance(last, LabelOperand):
-                target = program.labels.get(last.name)
+        target = branch_target(instr, program.labels)
         instrs.append(PredecodedInstr(
             instr=instr,
             opcode=op,
             guarded=instr.pred is not None and op is not Opcode.BR,
             df_faults=(instr.dtype is DataType.DF
                        and op not in DF_CAPABLE_OPS),
-            batch_class=_classify(instr, program.labels),
+            batch_class=_classify(instr, target),
             target=target,
             src_readers=tuple(s.read for s in instr.srcs),
         ))
@@ -287,7 +277,7 @@ def predecode_program(program: Program) -> PredecodedProgram:
     if gangable:
         # deferred import: blocks imports this module at top level
         from .blocks import annotate_reconvergence
-        annotate_reconvergence(pre_prog)
+        annotate_reconvergence(pre_prog, program.labels)
     return pre_prog
 
 

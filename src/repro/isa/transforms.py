@@ -27,6 +27,9 @@ re-emit assembly text through each instruction's round-trippable
 reconvergence annotations are recomputed from scratch and the predecode
 cache never aliases a transformed program with its source.
 
+Blocks, dominators, register liveness and instruction footprints come
+from :mod:`repro.isa.cfg`, shared with the scheduler and fusion.
+
 Legality envelope (documented in ``docs/SCHEDULE.md``): address
 arithmetic is reasoned about symbolically assuming coordinate values
 stay within their integer dtype's range (no wrap-around), which holds
@@ -42,6 +45,7 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ReproError
+from . import cfg
 from .assembler import assemble
 from .instructions import Instruction
 from .opcodes import Condition, Opcode
@@ -56,7 +60,7 @@ from .operands import (
     SymOperand,
 )
 from .program import Program
-from .scheduler import _block_boundaries, instruction_effects, schedule_program
+from .scheduler import schedule_program
 from .types import NUM_VREGS, VLEN, DataType
 
 
@@ -64,9 +68,10 @@ class ScheduleError(ReproError):
     """A schedule primitive could not be applied legally."""
 
 
-_TERMINATORS = (Opcode.JMP, Opcode.BR, Opcode.END)
 #: Affine reasoning only trusts arithmetic whose wrap point is far away.
 _WIDE_INT_TYPES = (DataType.DW, DataType.UDW)
+#: Operands that name registers directly rather than through an address.
+_REG_OPERANDS = (RegOperand, RangeOperand)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,6 @@ class CountedLoop:
     bound: Optional[float]   # resolved bound, None when the symbol is unbound
     cond: Condition
     trip: Optional[int]      # iteration count, None when bound is unknown
-    depth: int = 0           # nesting depth (0 = outermost)
     innermost: bool = True
 
     @property
@@ -181,25 +185,26 @@ def find_counted_loops(program: Program,
         <straight-line body>           # no labels, no branches, no ind/pred writes
         add.1.<ty>  ind = ind, <step>  # positive immediate step
         cmp.lt.1.<ty> pK = ind, <bound>
-        br pK, label                   # the only branch targeting label
+        br pK, label                   # the only branch into the head
     """
     instrs = program.instructions
-    branch_targets: Dict[str, List[int]] = {}
+    entries: Dict[int, List[int]] = {}  # ip -> branches to it, any label
     for ip, instr in enumerate(instrs):
-        if instr.opcode in (Opcode.BR, Opcode.JMP):
-            target = instr.srcs[-1]
-            branch_targets.setdefault(getattr(target, "name", ""), []).append(ip)
+        target = cfg.branch_target(instr, program.labels)
+        if target is not None:
+            entries.setdefault(target, []).append(ip)
 
     loops: List[CountedLoop] = []
     for label, head in program.labels.items():
-        sites = branch_targets.get(label, [])
+        sites = entries.get(head, [])
         if len(sites) != 1:
             continue
         back = sites[0]
-        if back < head + 3 or back >= len(instrs):
+        if back < head + 3:
             continue
         br = instrs[back]
-        if (br.opcode is not Opcode.BR or br.pred is None or br.pred.negate):
+        if (br.opcode is not Opcode.BR or br.pred.negate
+                or br.srcs[-1].name != label):
             continue
         cmp_ip, add_ip = back - 1, back - 2
         cmp, add = instrs[cmp_ip], instrs[add_ip]
@@ -226,7 +231,7 @@ def find_counted_loops(program: Program,
             continue
         # writes to ind: exactly the step add plus one immediate init before
         ind_writes = [ip for ip, ins in enumerate(instrs)
-                      if ind in instruction_effects(ins).reg_defs]
+                      if ind in cfg.effects(ins).reg_defs]
         pre = [ip for ip in ind_writes if ip < head]
         if not pre or any(head <= ip < add_ip or ip > add_ip
                           for ip in ind_writes if ip != add_ip):
@@ -240,11 +245,11 @@ def find_counted_loops(program: Program,
         init = float(init_instr.srcs[0].value)
         # body must be straight-line and must not touch the loop predicate
         body = instrs[head:add_ip]
-        if any(ins.opcode in _TERMINATORS for ins in body):
+        if any(ins.opcode in cfg.TERMINATORS for ins in body):
             continue
         if any(br.pred.index in
-               (instruction_effects(ins).pred_defs
-                | instruction_effects(ins).pred_uses)
+               (cfg.effects(ins).pred_defs
+                | cfg.effects(ins).pred_uses)
                for ins in body):
             continue
         bound = _resolve_bound(cmp.srcs[1], bindings)
@@ -255,17 +260,14 @@ def find_counted_loops(program: Program,
             cond=cmp.cond, trip=trip))
 
     loops.sort(key=lambda lp: lp.head)
-    out: List[CountedLoop] = []
-    for lp in loops:
-        depth = sum(1 for other in loops
-                    if other is not lp
-                    and other.head <= lp.head and lp.back <= other.back)
-        inner = not any(other is not lp
-                        and lp.head <= other.head and other.back <= lp.back
-                        for other in loops)
-        out.append(CountedLoop(**{**lp.__dict__, "depth": depth,
-                                  "innermost": inner}))
-    return out
+
+    def encloses(outer: CountedLoop, inner: CountedLoop) -> bool:
+        return (inner is not outer and outer.head <= inner.head
+                and inner.back <= outer.back)
+
+    return [_dc_replace(lp, innermost=not any(encloses(lp, other)
+                                              for other in loops))
+            for lp in loops]
 
 
 def _loop_by_label(program: Program, label: str,
@@ -284,7 +286,7 @@ def _pred_read_outside(program: Program, pindex: int,
     for ip, instr in enumerate(program.instructions):
         if ip in allowed:
             continue
-        eff = instruction_effects(instr)
+        eff = cfg.effects(instr)
         if pindex in eff.pred_uses:
             return True
     return False
@@ -294,14 +296,6 @@ def _pred_read_outside(program: Program, pindex: int,
 # free-register discovery
 # ---------------------------------------------------------------------------
 
-def _used_vregs(program: Program) -> Set[int]:
-    used: Set[int] = set()
-    for instr in program.instructions:
-        eff = instruction_effects(instr)
-        used |= eff.reg_uses | eff.reg_defs
-    return used
-
-
 def _free_vreg_block(program: Program, count: int) -> int:
     """First register of ``count`` consecutive vregs the program never uses.
 
@@ -310,7 +304,7 @@ def _free_vreg_block(program: Program, count: int) -> int:
     high-water mark.  Repeated staging passes on an unrolled body would
     otherwise exhaust the file long before it is actually full.
     """
-    used = _used_vregs(program)
+    _, used = _span_regs(program, 0, len(program.instructions) - 1, set())
     run_start = 0
     run = 0
     for reg in range(NUM_VREGS):
@@ -390,53 +384,6 @@ def reorder(program: Program) -> Program:
 _Value = Tuple[tuple, float]
 
 
-def _block_graph(program: Program):
-    """Block ranges, ip->block map, and block successor lists."""
-    ranges = _block_boundaries(program)
-    block_of = {}
-    for bi, (a, b) in enumerate(ranges):
-        for ip in range(a, b):
-            block_of[ip] = bi
-    start_block = {a: bi for bi, (a, _) in enumerate(ranges)}
-    succs: List[List[int]] = []
-    for bi, (a, b) in enumerate(ranges):
-        last = program.instructions[b - 1]
-        nxt: List[int] = []
-        if last.opcode in (Opcode.BR, Opcode.JMP):
-            target = start_block.get(program.target(last.srcs[-1].name))
-            if target is not None:
-                nxt.append(target)
-            if ((last.opcode is Opcode.BR or last.pred is not None)
-                    and b < len(program.instructions)):
-                nxt.append(start_block[b])
-        elif last.opcode is Opcode.END:
-            nxt = []
-        elif b < len(program.instructions):
-            nxt = [start_block[b]]
-        succs.append(nxt)
-    return ranges, block_of, succs
-
-
-def _block_dominators(ranges, succs) -> List[Set[int]]:
-    n = len(ranges)
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for bi, out in enumerate(succs):
-        for s in out:
-            preds[s].append(bi)
-    full = set(range(n))
-    dom: List[Set[int]] = [{0}] + [set(full) for _ in range(n - 1)]
-    changed = True
-    while changed:
-        changed = False
-        for bi in range(1, n):
-            incoming = [dom[p] for p in preds[bi]]
-            new = (set.intersection(*incoming) if incoming else set(full)) | {bi}
-            if new != dom[bi]:
-                dom[bi] = new
-                changed = True
-    return dom
-
-
 class _ScalarValues:
     """Symbolic values of scalar registers, one basic block at a time.
 
@@ -449,11 +396,16 @@ class _ScalarValues:
 
     def __init__(self, program: Program):
         self.program = program
-        self.ranges, self.block_of, succs = _block_graph(program)
-        self.dom = _block_dominators(self.ranges, succs)
+        self.ranges = cfg.block_ranges(program)
+        self.block_of = {ip: bi for bi, (a, b) in enumerate(self.ranges)
+                         for ip in range(a, b)}
+        #: Dominator bitsets of the block graph, rooted at block 0.
+        self.dom = cfg.dominators(
+            cfg.reverse_graph(cfg.block_successors(program, self.ranges)),
+            (0,))
         self.defs_by_reg: Dict[int, List[int]] = {}
         for ip, instr in enumerate(program.instructions):
-            for reg in instruction_effects(instr).reg_defs:
+            for reg in cfg.effects(instr).reg_defs:
                 self.defs_by_reg.setdefault(reg, []).append(ip)
         self.env: Dict[int, _Value] = {}
         self.block = -1
@@ -466,7 +418,7 @@ class _ScalarValues:
         """Account for the instruction at ``ip`` (call after resolving)."""
         instr = self.program.instructions[ip]
         affine = self._affine(instr)
-        defs = instruction_effects(instr).reg_defs
+        defs = cfg.effects(instr).reg_defs
         if affine is not None:
             reg, value = affine
             for d in defs:
@@ -526,7 +478,7 @@ class _ScalarValues:
         d = ips[0]
         instr = self.program.instructions[d]
         def_block = self.block_of[d]
-        if def_block == use_block or def_block not in self.dom[use_block]:
+        if def_block == use_block or not self.dom[use_block] >> def_block & 1:
             return opaque
         if (instr.pred is not None or instr.width != 1 or not instr.dsts
                 or not isinstance(instr.dsts[0], RegOperand)):
@@ -704,7 +656,7 @@ def _span_blockers(program: Program, lo: int, hi: int, member_ips: Set[int],
     for ip in range(lo, hi + 1):
         if ip in member_ips:
             continue
-        eff = instruction_effects(program.instructions[ip])
+        eff = cfg.effects(program.instructions[ip])
         if eff.barrier:
             return True
         if surface in eff.mem_writes:
@@ -714,42 +666,18 @@ def _span_blockers(program: Program, lo: int, hi: int, member_ips: Set[int],
     return False
 
 
-def _regs_defined_in(program: Program, lo: int, hi: int,
-                     exclude: Set[int]) -> Set[int]:
-    defs: Set[int] = set()
-    for ip in range(lo, hi + 1):
-        if ip in exclude:
-            continue
-        defs |= instruction_effects(program.instructions[ip]).reg_defs
-    return defs
-
-
-def _regs_touched_in(program: Program, lo: int, hi: int,
-                     exclude: Set[int]) -> Set[int]:
+def _span_regs(program: Program, lo: int, hi: int,
+               exclude: Set[int]) -> Tuple[Set[int], Set[int]]:
+    """(registers defined, registers read or written) by the
+    instructions of ``[lo, hi]`` outside ``exclude``."""
+    defined: Set[int] = set()
     touched: Set[int] = set()
     for ip in range(lo, hi + 1):
-        if ip in exclude:
-            continue
-        eff = instruction_effects(program.instructions[ip])
-        touched |= eff.reg_uses | eff.reg_defs
-    return touched
-
-
-def _operand_reg_set(op: Operand) -> Set[int]:
-    if isinstance(op, RegOperand):
-        return {op.reg}
-    if isinstance(op, RangeOperand):
-        return set(range(op.start, op.stop + 1))
-    return set()
-
-
-def _packed_regs(op: Operand) -> Optional[List[int]]:
-    """Registers of a packed-form operand, in packing order."""
-    if isinstance(op, RegOperand):
-        return [op.reg]
-    if isinstance(op, RangeOperand):
-        return list(range(op.start, op.stop + 1))
-    return None
+        if ip not in exclude:
+            eff = cfg.effects(program.instructions[ip])
+            defined |= eff.reg_defs
+            touched |= eff.reg_uses | eff.reg_defs
+    return defined, touched
 
 
 def _merge_block_run(program: Program,
@@ -850,16 +778,13 @@ def _apply_block_merge(program: Program, run: List[_BlockAccess],
     total = width * total_h
     anchor = first.instr.srcs[0]  # BlockOperand carrying x and the base y
 
-    # the merged access reads its x/y at the anchor position; the anchor's
-    # own coordinate registers must not be redefined across the span when
-    # the merged op does not sit at the anchor (stores execute at `hi`)
-    coord_regs = (_operand_reg_set(anchor.x) | _operand_reg_set(anchor.y))
-
     member_regs = []
     for m in run:
         reg_op = m.instr.srcs[1] if store else m.instr.dsts[0]
-        regs = _packed_regs(reg_op)
-        if regs is None or len(regs) != m.elems // VLEN:
+        if not isinstance(reg_op, _REG_OPERANDS):
+            return None
+        regs = cfg.operand_regs(reg_op)
+        if len(regs) != m.elems // VLEN:
             return None
         member_regs.append((m, reg_op, regs))
 
@@ -877,7 +802,7 @@ def _apply_block_merge(program: Program, run: List[_BlockAccess],
             # later members' destinations now fill at the first position:
             # nothing between may read or write them
             later = set(flat[len(member_regs[0][2]):])
-            if _regs_touched_in(program, lo, hi, ips) & later:
+            if _span_regs(program, lo, hi, ips)[1] & later:
                 direct = False
         if direct:
             merged = Instruction(
@@ -920,9 +845,9 @@ def _apply_block_merge(program: Program, run: List[_BlockAccess],
         # the merged store retires at the last member's position; capture
         # each member's value (and the anchor coordinates, if clobbered)
         # where they were originally read
-        redefined = _regs_defined_in(program, lo, hi, ips)
+        redefined = _span_regs(program, lo, hi, ips)[0]
         stage_coords = [op for op in (anchor.x, anchor.y)
-                        if _operand_reg_set(op) & redefined]
+                        if redefined.intersection(cfg.operand_regs(op))]
         stage = _free_vreg_block(program, total // VLEN + len(stage_coords))
         x_op, y_op = anchor.x, anchor.y
         coord_movs: List[Instruction] = []
@@ -999,10 +924,9 @@ def _apply_scalar_merge(program: Program,
         return None
     first, last = run[0], run[-1]
     regs = [m.reg for m in run]
-    touched = _regs_touched_in(program, lo, hi, ips)
-    redefined = _regs_defined_in(program, lo, hi, ips)
+    redefined, touched = _span_regs(program, lo, hi, ips)
     mem = first.instr.srcs[0]
-    index_regs = _operand_reg_set(mem.index)
+    index_regs = set(cfg.operand_regs(mem.index))
     if store:
         # values and the index must survive until the merged store at `hi`
         if (set(regs) & redefined) or (index_regs & redefined):
@@ -1041,53 +965,6 @@ def _apply_scalar_merge(program: Program,
 # ---------------------------------------------------------------------------
 
 
-def _register_liveness(program: Program) -> List[Set[int]]:
-    """Live-out register set at every instruction.
-
-    Backward dataflow over the block graph.  A predicated definition may
-    not happen, so it does not kill: the register stays live above it.
-    """
-    ranges, _, succs = _block_graph(program)
-    effects = [instruction_effects(i) for i in program.instructions]
-
-    def kill_set(ip: int) -> Set[int]:
-        if program.instructions[ip].pred is not None:
-            return set()
-        return effects[ip].reg_defs
-
-    gen: List[Set[int]] = []
-    kill: List[Set[int]] = []
-    for a, b in ranges:
-        g: Set[int] = set()
-        k: Set[int] = set()
-        for ip in range(b - 1, a - 1, -1):
-            defs = kill_set(ip)
-            g = effects[ip].reg_uses | (g - defs)
-            k = k | defs
-        gen.append(g)
-        kill.append(k)
-    live_in: List[Set[int]] = [set() for _ in ranges]
-    live_out_blk: List[Set[int]] = [set() for _ in ranges]
-    changed = True
-    while changed:
-        changed = False
-        for bi in range(len(ranges) - 1, -1, -1):
-            out: Set[int] = set()
-            for s in succs[bi]:
-                out |= live_in[s]
-            inn = gen[bi] | (out - kill[bi])
-            if out != live_out_blk[bi] or inn != live_in[bi]:
-                live_out_blk[bi], live_in[bi] = out, inn
-                changed = True
-    live_out: List[Set[int]] = [set() for _ in program.instructions]
-    for bi, (a, b) in enumerate(ranges):
-        live = set(live_out_blk[bi])
-        for ip in range(b - 1, a - 1, -1):
-            live_out[ip] = set(live)
-            live = effects[ip].reg_uses | (live - kill_set(ip))
-    return live_out
-
-
 # side-effect-free when well-formed: no memory traffic, no predicate
 # definitions, no CEH path (faults in semantics are structural, raised
 # regardless of the value flowing through) — so one whose destinations
@@ -1098,14 +975,10 @@ _PURE_ALU = (Opcode.MOV, Opcode.ADD, Opcode.SUB, Opcode.SHL, Opcode.SHR,
 
 def _dead_dsts(instr: Instruction, live: Set[int]) -> bool:
     """A pure ALU op whose every destination register is dead."""
-    if instr.opcode not in _PURE_ALU or instr.pred is not None:
+    if (instr.opcode not in _PURE_ALU or instr.pred is not None
+            or not all(isinstance(op, _REG_OPERANDS) for op in instr.dsts)):
         return False
-    regs: Set[int] = set()
-    for op in instr.dsts:
-        packed = _packed_regs(op)
-        if packed is None:
-            return False
-        regs |= set(packed)
+    regs = cfg.effects(instr).reg_defs
     return bool(regs) and not regs & live
 
 
@@ -1115,10 +988,12 @@ def _staging_copy(instr: Instruction):
     source registers hold bit-identical values to the destinations."""
     if (instr.opcode is not Opcode.MOV or instr.pred is not None
             or instr.dtype is not DataType.DF
-            or len(instr.dsts) != 1 or len(instr.srcs) != 1):
+            or len(instr.dsts) != 1 or len(instr.srcs) != 1
+            or not isinstance(instr.dsts[0], _REG_OPERANDS)
+            or not isinstance(instr.srcs[0], _REG_OPERANDS)):
         return None
-    dst = _packed_regs(instr.dsts[0])
-    src = _packed_regs(instr.srcs[0])
+    dst = cfg.operand_regs(instr.dsts[0])
+    src = cfg.operand_regs(instr.srcs[0])
     if not dst or not src or len(dst) != len(src) or set(dst) & set(src):
         return None
     return dst, src
@@ -1144,7 +1019,7 @@ def _forward_copies(program: Program) -> Optional[Program]:
     items = _to_items(program)
     index = _instr_item_index(items)
     forwarded = False
-    for a, b in _block_boundaries(program):
+    for a, b in cfg.block_ranges(program):
         alias: Dict[int, int] = {}
         for ip in range(a, b):
             instr = program.instructions[ip]
@@ -1152,7 +1027,9 @@ def _forward_copies(program: Program) -> Optional[Program]:
                 srcs = list(instr.srcs)
                 hit = False
                 for pos, op in enumerate(srcs):
-                    regs = _packed_regs(op)
+                    if not isinstance(op, _REG_OPERANDS):
+                        continue
+                    regs = cfg.operand_regs(op)
                     if not regs or not all(r in alias for r in regs):
                         continue
                     mapped = [alias[r] for r in regs]
@@ -1167,7 +1044,7 @@ def _forward_copies(program: Program) -> Optional[Program]:
                     instr = _dc_replace(instr, srcs=tuple(srcs))
                     items[index[ip]] = instr
                     forwarded = True
-            defs = instruction_effects(instr).reg_defs
+            defs = cfg.effects(instr).reg_defs
             if defs:
                 alias = {d: s for d, s in alias.items()
                          if d not in defs and s not in defs}
@@ -1178,7 +1055,7 @@ def _forward_copies(program: Program) -> Optional[Program]:
                     alias[d] = alias.get(s, s)
     if forwarded:
         return _emit(items, program.name)
-    live_out = _register_liveness(program)
+    live_out = cfg.live_registers(program)
     dead = [ip for ip, instr in enumerate(program.instructions)
             if _dead_dsts(instr, live_out[ip])]
     if not dead:

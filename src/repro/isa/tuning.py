@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from . import cfg
 from .opcodes import Opcode
 from .operands import ImmOperand, PredOperand, RegOperand
 from .program import Program
-from .scheduler import instruction_effects
 from .transforms import (
     BASELINE,
     Schedule,
@@ -63,12 +63,6 @@ class TuningResult:
     cached: bool
     cost: float
     baseline_cost: float
-
-    @property
-    def estimated_speedup(self) -> float:
-        if self.cost <= 0:
-            return 1.0
-        return self.baseline_cost / self.cost
 
 
 #: winner cache: (name, source, bindings-key) -> TuningResult
@@ -111,7 +105,7 @@ def _backedge_trip(program: Program, head: int, back: int,
         return None
     cmp = None
     for ip in range(back - 1, head - 1, -1):
-        if br.pred.index in instruction_effects(instrs[ip]).pred_defs:
+        if br.pred.index in cfg.effects(instrs[ip]).pred_defs:
             cmp = instrs[ip]
             break
     if (cmp is None or cmp.opcode is not Opcode.CMP or cmp.width != 1
@@ -130,14 +124,14 @@ def _backedge_trip(program: Program, head: int, back: int,
                 and ins.srcs[0].reg == ind
                 and isinstance(ins.srcs[1], ImmOperand)):
             step += float(ins.srcs[1].value)
-        elif ind in instruction_effects(ins).reg_defs:
+        elif ind in cfg.effects(ins).reg_defs:
             return None  # non-affine write to the induction variable
     if step <= 0:
         return None
     init = None
     for ip in range(head - 1, -1, -1):
         ins = instrs[ip]
-        if ind in instruction_effects(ins).reg_defs:
+        if ind in cfg.effects(ins).reg_defs:
             if (ins.opcode is Opcode.MOV and ins.width == 1
                     and ins.pred is None
                     and isinstance(ins.srcs[0], ImmOperand)):
@@ -157,13 +151,7 @@ def _loop_weights(program: Program,
     estimated trip count; nested spans compose multiplicatively.
     """
     weight = [1.0] * len(program.instructions)
-    for back, instr in enumerate(program.instructions):
-        if instr.opcode not in (Opcode.BR, Opcode.JMP):
-            continue
-        target = getattr(instr.srcs[-1], "name", None)
-        head = program.labels.get(target) if target else None
-        if head is None or head > back:
-            continue
+    for back, head in cfg.back_edges(program):
         trip = _backedge_trip(program, head, back, bindings)
         if trip is None:
             trip = DEFAULT_TRIP
@@ -190,7 +178,7 @@ def estimated_program_cost(program: Program,
     pending: Dict[int, float] = {}  # reg -> cycle its value is ready
     clock = 0.0
     for ip, instr in enumerate(program.instructions):
-        effects = instruction_effects(instr)
+        effects = cfg.effects(instr)
         stall = 0.0
         for reg in effects.reg_uses:
             if reg in pending:

@@ -129,15 +129,12 @@ class ExoServer:
                  max_pending: int = 256, coalesce_window: int = 32,
                  gma_config: Optional[GmaTimingConfig] = None,
                  physical: Optional[PhysicalMemory] = None,
-                 fabric_workers: int = 0,
-                 megaop_threshold: Optional[int] = None):
+                 fabric_workers: int = 0):
         """``fabric_workers=N`` places the device slots on N child
         processes over shared-memory physical frames (round-robin), so
         concurrent tenant drains stop contending on the GIL.  The server
         then owns worker lifetime: :meth:`stop` reaps the pool and the
-        segment, and the server cannot be started again afterwards.
-        ``megaop_threshold`` overrides the megaop tier's promotion
-        threshold on every device slot (see :mod:`repro.gma.megaop`)."""
+        segment, and the server cannot be started again afterwards."""
         self.fabric_pool: Optional[ProcessWorkerPool] = None
         self._owns_physical = False
         if fabric_workers and physical is None:
@@ -162,7 +159,7 @@ class ExoServer:
         if fabric_workers:
             self.fabric_pool = ProcessWorkerPool(
                 self.physical, fabric_workers, gma_config=config,
-                engine=engine, megaop_threshold=megaop_threshold)
+                engine=engine)
             self.slots = [
                 DeviceSlot(name=f"gma{i}", gma=None, queue=_queue(i),
                            worker=self.fabric_pool.worker_for(i),
@@ -173,8 +170,7 @@ class ExoServer:
             self.slots = [
                 DeviceSlot(name=f"gma{i}",
                            gma=GmaDevice(self._idle_space, config=config,
-                                         engine=engine,
-                                         megaop_threshold=megaop_threshold),
+                                         engine=engine),
                            queue=_queue(i))
                 for i in range(num_devices)
             ]

@@ -256,12 +256,13 @@ class TestRecordSurvivesEveryLayer:
         assert list(args) == COUNTERS
         self._expect(SimpleNamespace(**args))
 
-    def test_kernel_result_equals_sum_of_frames(self):
+    def test_kernel_result_equals_sum_of_frames(self, monkeypatch):
+        from repro.gma import megaop
         from repro.kernels import kernel_by_abbrev, run_kernel_on_gma
         from repro.perf import SMOKE_GEOMETRIES
 
-        device = GmaDevice(AddressSpace(), engine="megaop",
-                           megaop_threshold=2)
+        monkeypatch.setattr(megaop, "PROMOTE_THRESHOLD", 2)
+        device = GmaDevice(AddressSpace(), engine="megaop")
         frames = []
         run = device.run
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.exo.shred import ShredDescriptor
+from repro.gma import megaop as megaop_tier
 from repro.gma.device import GmaDevice
 from repro.isa import predecode
 from repro.isa.assembler import assemble
@@ -38,15 +39,19 @@ AGG_FIELDS = ("shreds_executed", "instructions", "bytes_read",
 THRESHOLD = 3
 
 
+@pytest.fixture(autouse=True)
+def low_threshold(monkeypatch):
+    monkeypatch.setattr(megaop_tier, "PROMOTE_THRESHOLD", THRESHOLD)
+
+
 def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
-                prepare_surfaces: bool = True, threshold: int = THRESHOLD):
+                prepare_surfaces: bool = True):
     """The same launch on scalar and megaop, each on a fresh device."""
     program = assemble(asm, name="megaop-differential")
     out = {}
     for engine in ("scalar", "megaop"):
         space = AddressSpace()
-        device = GmaDevice(space, engine=engine,
-                           megaop_threshold=threshold)
+        device = GmaDevice(space, engine=engine)
         surfaces = {
             name: Surface.alloc(space, name, width, height, DataType.F)
             for name, (width, height) in (surfaces_spec or {}).items()
@@ -92,8 +97,7 @@ def test_kernel_bit_identical(kernel_cls):
     geom = SMOKE_GEOMETRIES[kernel.abbrev]
     outcomes = {}
     for engine in ("scalar", "megaop"):
-        device = GmaDevice(AddressSpace(), engine=engine,
-                           megaop_threshold=THRESHOLD)
+        device = GmaDevice(AddressSpace(), engine=engine)
         outcomes[engine] = run_kernel_on_gma(
             kernel, geom, device=device, space=device.space, max_frames=1)
     scalar, megaop = outcomes["scalar"], outcomes["megaop"]
@@ -220,7 +224,7 @@ def test_tlb_miss_mid_megaop_deopts():
 
     def launch(engine, prepare):
         space = AddressSpace()
-        device = GmaDevice(space, engine=engine, megaop_threshold=THRESHOLD)
+        device = GmaDevice(space, engine=engine)
         surfaces = {"OUT": Surface.alloc(space, "OUT", 800, 1, DataType.F)}
         shreds = [ShredDescriptor(program=program,
                                   bindings={"base": float(64 * i),
@@ -266,7 +270,7 @@ def test_ceh_fault_mid_megaop_deopts():
     assert result.megaop_deopts >= 1
 
 
-def test_spawn_boundary_never_promotes():
+def test_spawn_boundary_never_promotes(monkeypatch):
     """SPAWN is never part of a block, so no cycle containing it can
     promote; children join the queue in scalar order."""
     asm = """
@@ -278,15 +282,16 @@ def test_spawn_boundary_never_promotes():
     end
     """
     bindings = [{"__spawn_arg": 1.0}] * 2 + [{"__spawn_arg": 0.0}] * 2
-    scalar, megaop = run_engines(asm, bindings, threshold=1)
+    monkeypatch.setattr(megaop_tier, "PROMOTE_THRESHOLD", 1)
+    scalar, megaop = run_engines(asm, bindings)
     assert_identical(scalar, megaop)
     assert scalar[0].spawned_shreds == 2
     assert scalar[0].shreds_executed == 6  # 4 parents + 2 children
     assert megaop[0].megaop_compiles == 0
 
 
-def test_promotion_threshold_knob():
-    """The device threshold gates promotion: a loop hotter than the
+def test_promotion_threshold_knob(monkeypatch):
+    """The promotion threshold gates promotion: a loop hotter than the
     threshold promotes, one colder never compiles."""
     asm = """
     iota.16.f vr1
@@ -300,9 +305,9 @@ def test_promotion_threshold_knob():
     """
 
     def run(threshold):
+        monkeypatch.setattr(megaop_tier, "PROMOTE_THRESHOLD", threshold)
         program = assemble(asm, name=f"threshold-{threshold}")
-        device = GmaDevice(AddressSpace(), engine="megaop",
-                           megaop_threshold=threshold)
+        device = GmaDevice(AddressSpace(), engine="megaop")
         shreds = [ShredDescriptor(program=program, bindings={"iters": 20.0})
                   for _ in range(4)]
         return device.run(shreds)
@@ -333,8 +338,7 @@ def test_megaop_matches_fused_counters():
     program = assemble(asm, name="megaop-vs-fused")
     results = {}
     for engine in ("fused", "megaop"):
-        device = GmaDevice(AddressSpace(), engine=engine,
-                           megaop_threshold=THRESHOLD)
+        device = GmaDevice(AddressSpace(), engine=engine)
         shreds = [ShredDescriptor(program=program,
                                   bindings={"iters": 25.0})
                   for _ in range(8)]
@@ -367,8 +371,7 @@ def test_promotion_survives_across_runs_and_evicts_with_program():
     program = assemble(asm, name="megaop-eviction")
 
     def launch():
-        device = GmaDevice(AddressSpace(), engine="megaop",
-                           megaop_threshold=THRESHOLD)
+        device = GmaDevice(AddressSpace(), engine="megaop")
         shreds = [ShredDescriptor(program=program, bindings={"iters": 20.0})
                   for _ in range(4)]
         return device.run(shreds)
@@ -405,8 +408,7 @@ def test_clear_cache_mid_profile_recompiles():
     program = assemble(asm, name="megaop-clear")
 
     def launch():
-        device = GmaDevice(AddressSpace(), engine="megaop",
-                           megaop_threshold=THRESHOLD)
+        device = GmaDevice(AddressSpace(), engine="megaop")
         shreds = [ShredDescriptor(program=program, bindings={"iters": 15.0})
                   for _ in range(4)]
         return device.run(shreds)

@@ -271,7 +271,7 @@ def test_find_counted_loops_recognizes_idiom():
     assert len(loops) == 1
     loop = loops[0]
     assert (loop.label, loop.trip, loop.init, loop.step) == ("loop", 12, 0, 1)
-    assert loop.innermost and loop.depth == 0
+    assert loop.innermost
 
 
 def test_unroll_preserves_results_and_shrinks_branches():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
+from repro.gma import megaop
 from repro.isa.assembler import assemble
 from repro.isa.types import DataType
 from repro.kernels import kernel_by_abbrev
@@ -243,15 +244,16 @@ end
 """
 
 
-def test_coalesced_batches_hit_promoted_megaops_across_launches():
+def test_coalesced_batches_hit_promoted_megaops_across_launches(
+        monkeypatch):
     """The megaop cache is keyed by program, not by launch: the first
     coalesced batch profiles and promotes the hot loop, the second one
     reuses the compiled megaop without recompiling."""
+    monkeypatch.setattr(megaop, "PROMOTE_THRESHOLD", 2)
     program = assemble(LOOP_ASM, name="serving-megaop-loop")
 
     async def scenario():
-        async with ExoServer(num_devices=1, engine="megaop",
-                             megaop_threshold=2) as server:
+        async with ExoServer(num_devices=1, engine="megaop") as server:
             session = server.open_session(
                 "t", SessionQuotas(max_inflight=8, max_surfaces=8,
                                    max_surface_bytes=1 << 20,
