@@ -1,13 +1,12 @@
-"""Per-instruction dispatch overhead: scalar vs gang vs fused vs megaop.
+"""Per-instruction dispatch overhead: scalar vs megaop.
 
-The four engines retire the same instruction stream; what differs is
-how much *host* work each instruction costs before numpy does the lane
+Both engines retire the same instruction stream; what differs is how
+much *host* work each instruction costs before numpy does the lane
 math.  The scalar interpreter pays a full decode-dispatch-account round
-per instruction per shred; the gang engine pays one batched round per
-instruction; the fused engine pays one round per *block* (superblock
-trace fusion, ``docs/ENGINE.md``) and amortizes branch resolution over
-chained traces; the megaop engine pays one round per *hot-loop
-traversal* once the trace cycle has been promoted.
+per instruction per shred.  The megaop engine pays one batched round
+per instruction for the whole gang, one round per *block* once a
+straight-line region is fused (``docs/ENGINE.md``), and one round per
+*hot-loop traversal* once the trace cycle has been promoted.
 
 This benchmark isolates that overhead by timing a pure-ALU counted loop
 where every instruction is host-bound (16-lane mads on resident
@@ -22,7 +21,7 @@ Run standalone::
 
 or under pytest (``pytest benchmarks/bench_dispatch.py``).  Writes
 ``BENCH_dispatch.json`` (``--json`` to move).  ``--check`` compares the
-fresh sweep against the committed baseline and fails if fused ns/instr
+fresh sweep against the committed baseline and fails if megaop ns/instr
 regressed by more than ``CHECK_REGRESSION`` at the longest trip count.
 """
 
@@ -38,9 +37,9 @@ from repro.isa import predecode
 from repro.isa.assembler import assemble
 from repro.memory.address_space import AddressSpace
 
-ENGINES = ("scalar", "gang", "fused", "megaop")
+ENGINES = GmaDevice.ENGINES
 DEFAULT_SHREDS = 32
-#: ``--check`` tolerance: fused ns/instr may drift this much above the
+#: ``--check`` tolerance: megaop ns/instr may drift this much above the
 #: committed baseline before the gate fails (noisy-host headroom).
 CHECK_REGRESSION = 0.20
 #: Trip counts for the amortization sweep: the launch-overhead-dominated
@@ -107,12 +106,8 @@ def compare(shreds: int = DEFAULT_SHREDS) -> dict:
         "shreds": shreds,
         "trip_counts": list(TRIP_COUNTS),
         "rows": rows,
-        # steady-state overhead ratios at the longest trip count
-        "gang_dispatch_ratio": (longest["scalar"]["ns_per_instruction"]
-                                / longest["gang"]["ns_per_instruction"]),
-        "fused_dispatch_ratio": (longest["gang"]["ns_per_instruction"]
-                                 / longest["fused"]["ns_per_instruction"]),
-        "megaop_dispatch_ratio": (longest["fused"]["ns_per_instruction"]
+        # steady-state overhead ratio at the longest trip count
+        "megaop_dispatch_ratio": (longest["scalar"]["ns_per_instruction"]
                                   / longest["megaop"]["ns_per_instruction"]),
     }
 
@@ -129,20 +124,18 @@ def report(outcome: dict) -> str:
                          f"{m['wall_seconds'] * 1e3:9.2f} "
                          f"{m['ns_per_instruction']:9.0f}")
     lines.append(f"  steady state (iters={outcome['trip_counts'][-1]}): "
-                 f"gang removes {outcome['gang_dispatch_ratio']:.1f}x "
-                 f"dispatch cost, fusion another "
-                 f"{outcome['fused_dispatch_ratio']:.2f}x, megaop another "
-                 f"{outcome['megaop_dispatch_ratio']:.2f}x")
+                 f"megaop removes {outcome['megaop_dispatch_ratio']:.1f}x "
+                 f"dispatch cost")
     return "\n".join(lines)
 
 
 def check(outcome: dict, baseline_path: str) -> list:
     """Regression gate against the committed baseline.
 
-    Returns a list of failure strings (empty = pass).  Only the fused
-    tier at the longest trip count is gated — it is the steady-state
-    dispatch number the engine docs quote, and the short trip counts
-    are launch-overhead-dominated and too noisy to gate."""
+    Returns a list of failure strings (empty = pass).  Only megaop at
+    the longest trip count is gated — it is the steady-state dispatch
+    number the engine docs quote, and the short trip counts are
+    launch-overhead-dominated and too noisy to gate."""
     try:
         with open(baseline_path) as handle:
             baseline = json.load(handle)
@@ -151,15 +144,15 @@ def check(outcome: dict, baseline_path: str) -> list:
                 f"once to create it"]
     iters = str(outcome["trip_counts"][-1])
     if iters not in baseline.get("rows", {}) \
-            or "fused" not in baseline["rows"][iters]:
-        return [f"baseline {baseline_path} has no fused row at "
+            or "megaop" not in baseline["rows"][iters]:
+        return [f"baseline {baseline_path} has no megaop row at "
                 f"iters={iters}; regenerate it"]
-    was = baseline["rows"][iters]["fused"]["ns_per_instruction"]
-    now = outcome["rows"][iters]["fused"]["ns_per_instruction"]
+    was = baseline["rows"][iters]["megaop"]["ns_per_instruction"]
+    now = outcome["rows"][iters]["megaop"]["ns_per_instruction"]
     failures = []
     if now > was * (1.0 + CHECK_REGRESSION):
         failures.append(
-            f"fused ns/instr regressed: {now:.0f} vs baseline {was:.0f} "
+            f"megaop ns/instr regressed: {now:.0f} vs baseline {was:.0f} "
             f"(+{(now / was - 1.0) * 100:.0f}%, limit "
             f"+{CHECK_REGRESSION * 100:.0f}%)")
     return failures
@@ -169,22 +162,17 @@ def check(outcome: dict, baseline_path: str) -> list:
 
 
 def test_dispatch_overhead_shrinks_by_engine():
-    """Soft ordering check at the amortized trip count: each engine tier
-    must strictly cut host cost per instruction (generous margins — this
-    asserts the mechanism works, the hard perf gate lives in
-    ``bench_engine --check``)."""
+    """Soft ordering check at the amortized trip count: megaop must cut
+    host cost per instruction (generous margin — this asserts the
+    mechanism works, the hard perf gate lives in ``bench_engine
+    --check``)."""
     iters = TRIP_COUNTS[-1]
     scalar = measure("scalar", iters, repeats=2)
-    gang = measure("gang", iters, repeats=2)
-    fused = measure("fused", iters, repeats=2)
     megaop = measure("megaop", iters, repeats=2)
-    assert scalar["instructions"] == gang["instructions"] \
-        == fused["instructions"] == megaop["instructions"]
-    assert gang["ns_per_instruction"] < scalar["ns_per_instruction"] / 2
-    assert fused["ns_per_instruction"] < gang["ns_per_instruction"]
-    assert fused["fused_blocks_retired"] > 0
-    assert fused["trace_chains"] > 0
-    assert megaop["ns_per_instruction"] < gang["ns_per_instruction"]
+    assert scalar["instructions"] == megaop["instructions"]
+    assert megaop["ns_per_instruction"] < scalar["ns_per_instruction"] / 2
+    assert megaop["fused_blocks_retired"] > 0
+    assert megaop["trace_chains"] > 0
     assert megaop["megaop_compiles"] > 0
     assert megaop["megaops_retired"] > 0
 
@@ -195,7 +183,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", default="BENCH_dispatch.json")
     parser.add_argument("--check", action="store_true",
                         help="gate the fresh sweep against the committed "
-                             "baseline: fail if fused ns/instr regressed "
+                             "baseline: fail if megaop ns/instr regressed "
                              "more than %d%%" % (CHECK_REGRESSION * 100))
     args = parser.parse_args(argv)
 
@@ -207,7 +195,7 @@ def main(argv=None) -> int:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}")
             return 1
-        print(f"check passed: fused ns/instr within "
+        print(f"check passed: megaop ns/instr within "
               f"{CHECK_REGRESSION * 100:.0f}% of {args.json}")
         return 0
     with open(args.json, "w") as handle:

@@ -1,25 +1,23 @@
-"""Gang-vectorized execution vs the scalar interpreter.
+"""The megaop engine vs the scalar interpreter.
 
 A launch whose shreds share one program runs as a *gang*: one
 numpy-batched register file with a shred axis, each predecoded
-instruction applied to every active shred in one vectorized operation
-(see ``docs/ENGINE.md``).  Results, traces and counters are bit-identical
-to the scalar interpreter — only the host wall-clock changes.  This
-benchmark measures that change two ways:
+instruction applied to every active shred in one vectorized operation;
+straight-line regions retire as fused superblocks and hot block cycles
+as promoted megaops (see ``docs/ENGINE.md``).  Results, traces and
+counters are bit-identical to the scalar interpreter — only the host
+wall-clock changes.  This benchmark measures that change four ways:
 
 * a homogeneous 32-shred ALU loop (every shred fully gang-resident), the
-  best case and the first CI gate: gang must reach >= 3x scalar
-  instructions/second, the fused engine (superblock trace fusion,
-  ``docs/ENGINE.md``) must reach >= 1.8x *gang* instructions/second, and
-  the megaop engine (profile-guided trace promotion) must reach >= 2x
-  *fused* instructions/second;
+  best case and the first CI gate: megaop must reach >= 10.8x scalar
+  instructions/second;
 * a memory-bound media kernel (SepiaTone, whose inner loop is
   load/store dominated) through the standard harness — the second CI
-  gate, exercising the batched gather/scatter and vectorized TLB
-  translation path end to end;
+  gate (>= 3x scalar wall-clock), exercising the batched gather/scatter
+  and vectorized TLB translation path end to end;
 * two *divergent* kernels whose branches depend on per-shred data — a
   ragged-trip-count loop and a sustained sawtooth diamond — the
-  divergence-repacking gate: gang must hold >= 1.5x scalar
+  divergence-repacking gate: megaop must hold >= 1.5x scalar
   instructions/second and >= 50% gang residency (share of instructions
   retired ganged) even though the lanes disagree at every branch;
 * the full kernel suite at smoke geometries (the per-kernel speedup
@@ -54,10 +52,12 @@ from repro.perf import SMOKE_GEOMETRIES
 
 DEFAULT_SHREDS = 32
 DEFAULT_ITERS = 300
-CHECK_SPEEDUP = 3.0
-CHECK_FUSION = 1.8  # fused vs plain gang, homogeneous instr/s
-CHECK_MEGAOP = 2.0  # megaop vs fused, homogeneous instr/s
-CHECK_DIVERGENT = 1.5  # gang vs scalar, divergent kernels, instr/s
+#: megaop vs scalar, homogeneous instr/s: the product of the per-tier
+#: gates this one replaced (gang >= 3x scalar, fused >= 1.8x gang,
+#: megaop >= 2x fused)
+CHECK_SPEEDUP = 10.8
+CHECK_KERNEL = 3.0  # megaop vs scalar, memory-bound kernel wall-clock
+CHECK_DIVERGENT = 1.5  # megaop vs scalar, divergent kernels, instr/s
 CHECK_RESIDENCY = 50.0  # minimum gang_residency_pct, divergent kernels
 DIVERGENT_ITERS = 160
 
@@ -213,24 +213,20 @@ def measure_divergent(name: str, engine: str, shreds: int = DEFAULT_SHREDS,
 
 def measure_divergent_table(shreds: int = DEFAULT_SHREDS,
                             iters: int = DIVERGENT_ITERS) -> dict:
-    """Every engine tier over both divergent kernels."""
+    """Both engines over both divergent kernels."""
     table = {}
     for name in DIVERGENT_KERNELS:
         row = {engine: measure_divergent(name, engine, shreds, iters)
-               for engine in ("scalar", "gang", "fused", "megaop")}
-        scalar_ips = row["scalar"]["instructions_per_second"]
-        gang = row["gang"]
+               for engine in GmaDevice.ENGINES}
+        megaop = row["megaop"]
         table[name] = {
-            "speedup": gang["instructions_per_second"] / scalar_ips,
-            "fused_speedup":
-                row["fused"]["instructions_per_second"] / scalar_ips,
-            "megaop_speedup":
-                row["megaop"]["instructions_per_second"] / scalar_ips,
-            "gang_residency_pct": gang["gang_residency_pct"],
-            "gang_repacks": gang["gang_repacks"],
-            "lanes_readmitted": gang["lanes_readmitted"],
-            "scalar_fallbacks": gang["scalar_fallbacks"],
-            "instructions": gang["instructions"],
+            "speedup": (megaop["instructions_per_second"]
+                        / row["scalar"]["instructions_per_second"]),
+            "gang_residency_pct": megaop["gang_residency_pct"],
+            "gang_repacks": megaop["gang_repacks"],
+            "lanes_readmitted": megaop["lanes_readmitted"],
+            "scalar_fallbacks": megaop["scalar_fallbacks"],
+            "instructions": megaop["instructions"],
             "engines": row,
         }
     return table
@@ -277,54 +273,37 @@ def measure_all_kernels(repeats: int = 1) -> dict:
     table = {}
     for kernel_cls in ALL_KERNELS:
         row = {engine: measure_kernel(engine, repeats, kernel_cls)
-               for engine in ("scalar", "gang", "fused", "megaop")}
+               for engine in GmaDevice.ENGINES}
+        megaop = row["megaop"]
         table[kernel_cls.abbrev] = {
             "scalar_seconds": row["scalar"]["wall_seconds"],
-            "gang_seconds": row["gang"]["wall_seconds"],
-            "fused_seconds": row["fused"]["wall_seconds"],
-            "megaop_seconds": row["megaop"]["wall_seconds"],
+            "megaop_seconds": megaop["wall_seconds"],
             "speedup": (row["scalar"]["wall_seconds"]
-                        / row["gang"]["wall_seconds"]),
-            "fused_speedup": (row["scalar"]["wall_seconds"]
-                              / row["fused"]["wall_seconds"]),
-            "megaop_speedup": (row["scalar"]["wall_seconds"]
-                               / row["megaop"]["wall_seconds"]),
-            "batched_translations": row["gang"]["batched_translations"],
-            "fused_blocks_retired": row["fused"]["fused_blocks_retired"],
-            "trace_chains": row["fused"]["trace_chains"],
-            "fusion_compiles": row["fused"]["fusion_compiles"],
-            "megaops_retired": row["megaop"]["megaops_retired"],
-            "megaop_compiles": row["megaop"]["megaop_compiles"],
-            "megaop_deopts": row["megaop"]["megaop_deopts"],
-            "scalar_fallbacks": row["fused"]["scalar_fallbacks"],
-            "shreds": row["fused"]["shreds"],
+                        / megaop["wall_seconds"]),
+            **{name: megaop[name] for name in (
+                "batched_translations", "fused_blocks_retired",
+                "trace_chains", "fusion_compiles", "megaops_retired",
+                "megaop_compiles", "megaop_deopts", "scalar_fallbacks",
+                "shreds")},
         }
     return table
 
 
 def compare(shreds: int = DEFAULT_SHREDS, iters: int = DEFAULT_ITERS) -> dict:
     scalar = measure_homogeneous("scalar", shreds, iters)
-    gang = measure_homogeneous("gang", shreds, iters)
-    # the fused-vs-megaop gate is the tightest ratio in --check; give
-    # both sides extra repeats so best-of-N converges under host noise
-    fused = measure_homogeneous("fused", shreds, iters, repeats=5)
+    # the megaop side of the homogeneous gate runs in tens of
+    # milliseconds; extra repeats let best-of-N converge under host noise
     megaop = measure_homogeneous("megaop", shreds, iters, repeats=5)
-    kernel = {"scalar": measure_kernel("scalar"),
-              "gang": measure_kernel("gang")}
+    kernel = {engine: measure_kernel(engine) for engine in GmaDevice.ENGINES}
     return {
-        "homogeneous": {"scalar": scalar, "gang": gang, "fused": fused,
-                        "megaop": megaop},
+        "homogeneous": {"scalar": scalar, "megaop": megaop},
         "divergent": measure_divergent_table(shreds),
         "kernel": kernel,
         "kernels": measure_all_kernels(),
-        "speedup": (gang["instructions_per_second"]
+        "speedup": (megaop["instructions_per_second"]
                     / scalar["instructions_per_second"]),
-        "fusion_speedup": (fused["instructions_per_second"]
-                           / gang["instructions_per_second"]),
-        "megaop_speedup": (megaop["instructions_per_second"]
-                           / fused["instructions_per_second"]),
         "kernel_speedup": (kernel["scalar"]["wall_seconds"]
-                           / kernel["gang"]["wall_seconds"]),
+                           / kernel["megaop"]["wall_seconds"]),
     }
 
 
@@ -335,94 +314,76 @@ def report(outcome: dict) -> str:
         f"  {'':8s} {'instr':>8s} {'wall ms':>9s} {'Minstr/s':>9s} "
         f"{'ganged':>7s} {'peeled':>7s}",
     ]
-    for name in ("scalar", "gang", "fused", "megaop"):
+    for name in GmaDevice.ENGINES:
         m = homo[name]
         lines.append(
             f"  {name:8s} {m['instructions']:8d} "
             f"{m['wall_seconds'] * 1e3:9.2f} "
             f"{m['instructions_per_second'] / 1e6:9.3f} "
             f"{m['gang_lanes_retired']:7d} {m['scalar_fallbacks']:7d}")
-    lines.append(f"  gang speedup: {outcome['speedup']:.1f}x "
-                 f"(gate: >= {CHECK_SPEEDUP:.0f}x)")
-    fused = homo["fused"]
-    lines.append(f"  fusion speedup: {outcome['fusion_speedup']:.2f}x gang "
-                 f"(gate: >= {CHECK_FUSION:.1f}x), "
-                 f"{fused['fused_blocks_retired']} blocks retired, "
-                 f"{fused['trace_chains']} trace chains, "
-                 f"{fused['fusion_compiles']} compiles")
     megaop = homo["megaop"]
-    lines.append(f"  megaop speedup: {outcome['megaop_speedup']:.2f}x fused "
-                 f"(gate: >= {CHECK_MEGAOP:.1f}x), "
+    lines.append(f"  megaop speedup: {outcome['speedup']:.1f}x scalar "
+                 f"(gate: >= {CHECK_SPEEDUP:.1f}x), "
+                 f"{megaop['fused_blocks_retired']} blocks retired, "
+                 f"{megaop['trace_chains']} trace chains, "
                  f"{megaop['megaops_retired']} traversals retired, "
                  f"{megaop['megaop_compiles']} compiles, "
                  f"{megaop['megaop_deopts']} deopts")
     lines.append("  divergent kernels (data-dependent branches, "
-                 f"gates: >= {CHECK_DIVERGENT:.1f}x gang, "
+                 f"gates: >= {CHECK_DIVERGENT:.1f}x scalar, "
                  f">= {CHECK_RESIDENCY:.0f}% residency):")
-    lines.append(f"    {'kernel':18s} {'gang':>7s} {'fused':>7s} "
-                 f"{'megaop':>7s} {'resid':>6s} {'repacks':>8s} "
-                 f"{'readmit':>8s} {'peeled':>7s}")
+    lines.append(f"    {'kernel':18s} {'speedup':>8s} {'resid':>6s} "
+                 f"{'repacks':>8s} {'readmit':>8s} {'peeled':>7s}")
     for name, row in outcome["divergent"].items():
         lines.append(
-            f"    {name:18s} {row['speedup']:6.2f}x "
-            f"{row['fused_speedup']:6.2f}x {row['megaop_speedup']:6.2f}x "
+            f"    {name:18s} {row['speedup']:7.2f}x "
             f"{row['gang_residency_pct']:5.1f}% {row['gang_repacks']:8d} "
             f"{row['lanes_readmitted']:8d} {row['scalar_fallbacks']:7d}")
     kern = outcome["kernel"]
-    kname = kern["scalar"]["kernel"]
-    lines.append(f"  {kname}: {outcome['kernel_speedup']:.1f}x faster "
-                 f"wall-clock under gang (gate: >= {CHECK_SPEEDUP:.0f}x), "
-                 f"{kern['gang']['batched_translations']} pages translated "
-                 f"batched")
-    lines.append("  per-kernel wall-clock speedups (smoke geometry):")
-    for name, row in outcome["kernels"].items():
-        lines.append(f"    {name:14s} {row['speedup']:5.2f}x gang / "
-                     f"{row['fused_speedup']:5.2f}x fused / "
-                     f"{row['megaop_speedup']:5.2f}x megaop "
-                     f"(scalar {row['scalar_seconds'] * 1e3:7.2f}ms, "
-                     f"gang {row['gang_seconds'] * 1e3:7.2f}ms, "
-                     f"fused {row['fused_seconds'] * 1e3:7.2f}ms, "
-                     f"megaop {row['megaop_seconds'] * 1e3:7.2f}ms)")
-    lines.append("  per-kernel block fusion (smoke geometry):")
-    lines.append(f"    {'kernel':14s} {'blocks':>7s} {'chains':>7s} "
-                 f"{'compiles':>8s} {'fallback':>9s}")
+    lines.append(f"  {kern['scalar']['kernel']}: "
+                 f"{outcome['kernel_speedup']:.1f}x faster wall-clock "
+                 f"under megaop (gate: >= {CHECK_KERNEL:.0f}x), "
+                 f"{kern['megaop']['batched_translations']} pages "
+                 f"translated batched")
+    lines.append("  per-kernel megaop vs scalar (smoke geometry):")
+    lines.append(f"    {'kernel':14s} {'scalar ms':>10s} {'megaop ms':>10s} "
+                 f"{'speedup':>8s} {'blocks':>7s} {'chains':>7s} "
+                 f"{'megaops':>8s} {'fallback':>9s}")
     for name, row in outcome["kernels"].items():
         fallback = (row["scalar_fallbacks"] / row["shreds"]
                     if row["shreds"] else 0.0)
-        lines.append(f"    {name:14s} {row['fused_blocks_retired']:7d} "
-                     f"{row['trace_chains']:7d} {row['fusion_compiles']:8d} "
+        lines.append(f"    {name:14s} {row['scalar_seconds'] * 1e3:10.2f} "
+                     f"{row['megaop_seconds'] * 1e3:10.2f} "
+                     f"{row['speedup']:7.2f}x "
+                     f"{row['fused_blocks_retired']:7d} "
+                     f"{row['trace_chains']:7d} {row['megaops_retired']:8d} "
                      f"{fallback:8.0%}")
-    m = homo["gang"]
-    total = m["predecode_hits"] + m["predecode_misses"]
-    rate = m["predecode_hits"] / total if total else 0.0
-    lines.append(f"  decode cache: {m['predecode_hits']}/{total} hits "
+    total = megaop["predecode_hits"] + megaop["predecode_misses"]
+    rate = megaop["predecode_hits"] / total if total else 0.0
+    lines.append(f"  decode cache: {megaop['predecode_hits']}/{total} hits "
                  f"({rate:.0%})")
     return "\n".join(lines)
 
 
 def step_summary(outcome: dict) -> str:
-    """GitHub Actions step-summary markdown: the engine-tier tables."""
+    """GitHub Actions step-summary markdown: the engine tables."""
     homo = outcome["homogeneous"]
-    fused = homo["fused"]
     megaop = homo["megaop"]
     lines = [
         "### Engine benchmark",
         "",
-        f"- gang vs scalar (homogeneous): "
-        f"**{outcome['speedup']:.1f}x** (gate >= {CHECK_SPEEDUP:.0f}x)",
-        f"- fused vs gang (homogeneous): "
-        f"**{outcome['fusion_speedup']:.2f}x** (gate >= {CHECK_FUSION:.1f}x),"
-        f" {fused['fused_blocks_retired']} blocks retired, "
-        f"{fused['trace_chains']} trace chains",
-        f"- megaop vs fused (homogeneous): "
-        f"**{outcome['megaop_speedup']:.2f}x** (gate >= {CHECK_MEGAOP:.1f}x),"
-        f" {megaop['megaops_retired']} traversals retired, "
+        f"- megaop vs scalar (homogeneous): "
+        f"**{outcome['speedup']:.1f}x** (gate >= {CHECK_SPEEDUP:.1f}x), "
+        f"{megaop['megaops_retired']} traversals retired, "
         f"{megaop['megaop_deopts']} deopts",
+        f"- megaop vs scalar ({outcome['kernel']['scalar']['kernel']}, "
+        f"memory-bound): **{outcome['kernel_speedup']:.1f}x** "
+        f"(gate >= {CHECK_KERNEL:.0f}x)",
         "",
-        "| tier | ns/instr | Minstr/s |",
+        "| engine | ns/instr | Minstr/s |",
         "|---|---|---|",
     ]
-    for name in ("gang", "fused", "megaop"):
+    for name in GmaDevice.ENGINES:
         m = homo[name]
         ns = m["wall_seconds"] * 1e9 / m["instructions"]
         lines.append(f"| {name} | {ns:.0f} "
@@ -431,14 +392,13 @@ def step_summary(outcome: dict) -> str:
         "",
         "#### Gang residency: convergent vs divergent",
         "",
-        "| kernel | gang speedup | residency | repacks | readmitted "
-        "| peeled |",
+        "| kernel | speedup | residency | repacks | readmitted | peeled |",
         "|---|---|---|---|---|---|",
         f"| uniform-loop (convergent) | {outcome['speedup']:.2f}x "
-        f"| {homo['gang']['gang_residency_pct']:.1f}% "
-        f"| {homo['gang']['gang_repacks']} "
-        f"| {homo['gang']['lanes_readmitted']} "
-        f"| {homo['gang']['scalar_fallbacks']} |",
+        f"| {megaop['gang_residency_pct']:.1f}% "
+        f"| {megaop['gang_repacks']} "
+        f"| {megaop['lanes_readmitted']} "
+        f"| {megaop['scalar_fallbacks']} |",
     ]
     for name, row in outcome["divergent"].items():
         lines.append(
@@ -447,94 +407,67 @@ def step_summary(outcome: dict) -> str:
             f"| {row['lanes_readmitted']} | {row['scalar_fallbacks']} |")
     lines += [
         "",
-        "| kernel | gang speedup | fused speedup | megaop speedup | blocks "
-        "| chained traces | fallback rate |",
-        "|---|---|---|---|---|---|---|",
+        "| kernel | scalar | megaop | speedup | blocks | chained traces "
+        "| megaops | fallback rate |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for name, row in outcome["kernels"].items():
         fallback = (row["scalar_fallbacks"] / row["shreds"]
                     if row["shreds"] else 0.0)
         lines.append(
-            f"| {name} | {row['speedup']:.2f}x | {row['fused_speedup']:.2f}x "
-            f"| {row['megaop_speedup']:.2f}x "
+            f"| {name} | {row['scalar_seconds'] * 1e3:.1f}ms "
+            f"| {row['megaop_seconds'] * 1e3:.1f}ms | {row['speedup']:.2f}x "
             f"| {row['fused_blocks_retired']} | {row['trace_chains']} "
-            f"| {fallback:.0%} |")
+            f"| {row['megaops_retired']} | {fallback:.0%} |")
     return "\n".join(lines) + "\n"
 
 
 # -- pytest entry points ---------------------------------------------------------------
 
 
-def test_gang_beats_scalar():
-    """The CI acceptance bar: a homogeneous launch must vectorize."""
+def test_megaop_beats_scalar():
+    """The CI acceptance bar: a homogeneous launch must vectorize, fuse
+    and promote."""
     scalar = measure_homogeneous("scalar")
-    gang = measure_homogeneous("gang")
-    assert gang["instructions"] == scalar["instructions"]
-    assert gang["gma_cycles"] == scalar["gma_cycles"]
-    assert gang["scalar_fallbacks"] == 0  # fully gang-resident
-    assert gang["gang_lanes_retired"] == gang["instructions"]
-    speedup = (gang["instructions_per_second"]
+    megaop = measure_homogeneous("megaop", repeats=5)
+    assert megaop["instructions"] == scalar["instructions"]
+    assert megaop["gma_cycles"] == scalar["gma_cycles"]
+    assert megaop["scalar_fallbacks"] == 0  # fully gang-resident
+    assert megaop["gang_lanes_retired"] == megaop["instructions"]
+    assert megaop["fused_blocks_retired"] > 0
+    assert megaop["megaops_retired"] > 0
+    speedup = (megaop["instructions_per_second"]
                / scalar["instructions_per_second"])
-    assert speedup >= CHECK_SPEEDUP, f"gang only {speedup:.2f}x scalar"
+    assert speedup >= CHECK_SPEEDUP, f"megaop only {speedup:.2f}x scalar"
 
 
 def test_memory_bound_kernel_beats_scalar():
     """The batched-memory acceptance bar: a load/store-dominated kernel
-    workload must clear the same 3x gate as the ALU loop."""
+    must run well clear of the scalar interpreter."""
     scalar = measure_kernel("scalar")
-    gang = measure_kernel("gang")
-    assert gang["instructions"] == scalar["instructions"]
-    assert gang["batched_translations"] > 0  # the fast path really ran
-    speedup = scalar["wall_seconds"] / gang["wall_seconds"]
-    assert speedup >= CHECK_SPEEDUP, \
-        f"gang only {speedup:.2f}x scalar on {gang['kernel']}"
+    megaop = measure_kernel("megaop")
+    assert megaop["instructions"] == scalar["instructions"]
+    assert megaop["batched_translations"] > 0  # the fast path really ran
+    speedup = scalar["wall_seconds"] / megaop["wall_seconds"]
+    assert speedup >= CHECK_KERNEL, \
+        f"megaop only {speedup:.2f}x scalar on {megaop['kernel']}"
 
 
-def test_fused_beats_gang():
-    """The fusion acceptance bar: superblock fusion must beat plain
-    per-instruction gang dispatch on the homogeneous loop."""
-    gang = measure_homogeneous("gang")
-    fused = measure_homogeneous("fused")
-    assert fused["instructions"] == gang["instructions"]
-    assert fused["gma_cycles"] == gang["gma_cycles"]
-    assert fused["scalar_fallbacks"] == 0
-    assert fused["fused_blocks_retired"] > 0
-    assert fused["trace_chains"] > 0
-    speedup = (fused["instructions_per_second"]
-               / gang["instructions_per_second"])
-    assert speedup >= CHECK_FUSION, f"fused only {speedup:.2f}x gang"
-
-
-def test_megaop_beats_fused():
-    """The megaop acceptance bar: promoted hot traces must beat the
-    per-block fused loop on the homogeneous loop."""
-    fused = measure_homogeneous("fused", repeats=5)
-    megaop = measure_homogeneous("megaop", repeats=5)
-    assert megaop["instructions"] == fused["instructions"]
-    assert megaop["gma_cycles"] == fused["gma_cycles"]
-    assert megaop["scalar_fallbacks"] == 0
-    assert megaop["megaop_compiles"] > 0
-    assert megaop["megaops_retired"] > 0
-    speedup = (megaop["instructions_per_second"]
-               / fused["instructions_per_second"])
-    assert speedup >= CHECK_MEGAOP, f"megaop only {speedup:.2f}x fused"
-
-
-def test_divergent_gang_beats_scalar():
+def test_divergent_megaop_beats_scalar():
     """The divergence-repacking acceptance bar: data-dependent branches
     must not collapse the gang to the scalar interpreter."""
     for name in DIVERGENT_KERNELS:
         scalar = measure_divergent(name, "scalar")
-        gang = measure_divergent(name, "gang")
-        assert gang["instructions"] == scalar["instructions"], name
-        assert gang["scalar_fallbacks"] == 0, name
-        assert gang["gang_repacks"] > 0, name
-        assert gang["lanes_readmitted"] > 0, name
-        assert gang["gang_residency_pct"] >= CHECK_RESIDENCY, name
-        speedup = (gang["instructions_per_second"]
+        megaop = measure_divergent(name, "megaop")
+        assert megaop["instructions"] == scalar["instructions"], name
+        assert megaop["scalar_fallbacks"] == 0, name
+        assert megaop["gang_repacks"] > 0, name
+        assert megaop["lanes_readmitted"] > 0, name
+        assert megaop["gang_residency_pct"] >= CHECK_RESIDENCY, name
+        speedup = (megaop["instructions_per_second"]
                    / scalar["instructions_per_second"])
         assert speedup >= CHECK_DIVERGENT, \
-            f"gang only {speedup:.2f}x scalar on {name}"
+            f"megaop only {speedup:.2f}x scalar on {name}"
 
 
 def main(argv=None) -> int:
@@ -547,13 +480,14 @@ def main(argv=None) -> int:
                         help="result file (default BENCH_engine.json; a "
                              "--check run writes one only when given)")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless gang reaches "
-                             f">= {CHECK_SPEEDUP:.0f}x scalar, fused "
-                             f">= {CHECK_FUSION:.1f}x gang, megaop "
-                             f">= {CHECK_MEGAOP:.1f}x fused "
-                             "instructions/second, and divergent kernels "
+                        help="exit non-zero unless megaop reaches "
+                             f">= {CHECK_SPEEDUP:.1f}x scalar "
+                             "instructions/second on the homogeneous "
+                             f"loop, >= {CHECK_KERNEL:.0f}x scalar "
+                             "wall-clock on the memory-bound kernel, and "
                              f">= {CHECK_DIVERGENT:.1f}x scalar at "
-                             f">= {CHECK_RESIDENCY:.0f}% gang residency")
+                             f">= {CHECK_RESIDENCY:.0f}% gang residency "
+                             "on the divergent kernels")
     args = parser.parse_args(argv)
 
     outcome = compare(args.shreds, args.iters)
@@ -567,27 +501,17 @@ def main(argv=None) -> int:
     if summary_path:
         with open(summary_path, "a") as handle:
             handle.write(step_summary(outcome))
-        print(f"appended fusion stats to {summary_path}")
+        print(f"appended engine stats to {summary_path}")
     if args.check:
         failed = False
         if outcome["speedup"] < CHECK_SPEEDUP:
-            print(f"CHECK FAILED: gang speedup {outcome['speedup']:.2f}x "
-                  f"< {CHECK_SPEEDUP:.0f}x", file=sys.stderr)
+            print(f"CHECK FAILED: megaop speedup {outcome['speedup']:.2f}x "
+                  f"< {CHECK_SPEEDUP:.1f}x scalar", file=sys.stderr)
             failed = True
-        if outcome["fusion_speedup"] < CHECK_FUSION:
-            print(f"CHECK FAILED: fusion speedup "
-                  f"{outcome['fusion_speedup']:.2f}x "
-                  f"< {CHECK_FUSION:.1f}x gang", file=sys.stderr)
-            failed = True
-        if outcome["megaop_speedup"] < CHECK_MEGAOP:
-            print(f"CHECK FAILED: megaop speedup "
-                  f"{outcome['megaop_speedup']:.2f}x "
-                  f"< {CHECK_MEGAOP:.1f}x fused", file=sys.stderr)
-            failed = True
-        if outcome["kernel_speedup"] < CHECK_SPEEDUP:
+        if outcome["kernel_speedup"] < CHECK_KERNEL:
             print(f"CHECK FAILED: kernel speedup "
                   f"{outcome['kernel_speedup']:.2f}x "
-                  f"< {CHECK_SPEEDUP:.0f}x", file=sys.stderr)
+                  f"< {CHECK_KERNEL:.0f}x", file=sys.stderr)
             failed = True
         for name, row in outcome["divergent"].items():
             if row["speedup"] < CHECK_DIVERGENT:
@@ -607,12 +531,10 @@ def main(argv=None) -> int:
                         for row in outcome["divergent"].values())
         residency = min(row["gang_residency_pct"]
                         for row in outcome["divergent"].values())
-        print(f"check passed: gang {outcome['speedup']:.1f}x scalar "
-              f"(homogeneous), fused {outcome['fusion_speedup']:.2f}x gang, "
-              f"megaop {outcome['megaop_speedup']:.2f}x fused, "
-              f"{outcome['kernel_speedup']:.1f}x (memory-bound kernel), "
-              f"divergent >= {divergent:.1f}x at >= {residency:.0f}% "
-              f"residency")
+        print(f"check passed: megaop {outcome['speedup']:.1f}x scalar "
+              f"(homogeneous), {outcome['kernel_speedup']:.1f}x "
+              f"(memory-bound kernel), divergent >= {divergent:.1f}x at "
+              f">= {residency:.0f}% residency")
     return 0
 
 

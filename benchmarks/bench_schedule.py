@@ -8,12 +8,12 @@ of such schedules against the EU timing model.  This benchmark is the
 CI gate for that layer, measured two ways:
 
 * the per-kernel scheduled-vs-baseline table: four kernels whose short
-  load/store-dominated inner loops stayed flat under the gang/fusion
-  engine tiers run at bench geometry, unscheduled and
-  ``schedule="auto"``, on the scalar and gang engines.  The gate: at
-  least ``CHECK_MIN_KERNELS`` kernels must clear ``CHECK_SPEEDUP``x
-  scalar wall-clock, and *every* scheduled run — scalar and gang —
-  must reproduce the unscheduled scalar output surfaces bit-exactly
+  load/store-dominated inner loops stayed flat under the megaop engine
+  run at bench geometry, unscheduled and ``schedule="auto"``, on the
+  scalar and megaop engines.  The gate: at least ``CHECK_MIN_KERNELS``
+  kernels must clear ``CHECK_SPEEDUP``x scalar wall-clock, and *every*
+  scheduled run — scalar and megaop — must reproduce the unscheduled
+  scalar output surfaces bit-exactly
   (speedups may be noisy, correctness may not);
 * the tuner-cache smoke: tuning a kernel once must score real
   candidates (``trials > 0``); tuning the same source+bindings again
@@ -113,7 +113,7 @@ def measure_kernel(kernel_cls, schedule=None, engine: str = "scalar",
 
     Scheduling happens once, outside the timed region; under
     ``schedule="auto"`` the tuner only accepts candidates that
-    reproduce frame 0 bit-exactly on a scratch scalar device.
+    reproduce frame 0 bit-exactly on a scratch device.
     """
     bench = _KernelBench(kernel_cls, schedule, engine)
     for _ in range(repeats):
@@ -131,27 +131,27 @@ def measure_schedule_table(repeats: int = DEFAULT_REPEATS) -> dict:
     table = {}
     for kernel_cls in GATE_KERNELS:
         benches = [_KernelBench(kernel_cls, schedule, engine)
-                   for engine in ("scalar", "gang")
+                   for engine in GmaDevice.ENGINES
                    for schedule in (None, "auto")]
         for _ in range(repeats):
             for bench in benches:
                 bench.run_once()
-        base, sched, gang_base, gang_sched = (b.best for b in benches)
+        base, sched, mega_base, mega_sched = (b.best for b in benches)
         table[base["kernel"]] = {
             "schedule": sched["schedule"],
             "tuner_trials": sched["tuner_trials"],
             "baseline_seconds": base["wall_seconds"],
             "scheduled_seconds": sched["wall_seconds"],
-            "gang_baseline_seconds": gang_base["wall_seconds"],
-            "gang_scheduled_seconds": gang_sched["wall_seconds"],
+            "megaop_baseline_seconds": mega_base["wall_seconds"],
+            "megaop_scheduled_seconds": mega_sched["wall_seconds"],
             "speedup": base["wall_seconds"] / sched["wall_seconds"],
-            "gang_speedup": (gang_base["wall_seconds"]
-                             / gang_sched["wall_seconds"]),
+            "megaop_speedup": (mega_base["wall_seconds"]
+                               / mega_sched["wall_seconds"]),
             "baseline_instructions": base["instructions"],
             "scheduled_instructions": sched["instructions"],
             "bit_identical": (
                 _bit_identical(base["outputs"], sched["outputs"])
-                and _bit_identical(base["outputs"], gang_sched["outputs"])),
+                and _bit_identical(base["outputs"], mega_sched["outputs"])),
         }
     return table
 
@@ -192,7 +192,7 @@ def report(outcome: dict) -> str:
         "auto-tuned schedule vs unscheduled program (bench geometry):",
         f"  {'kernel':12s} {'schedule':26s} {'trials':>6s} "
         f"{'base ms':>9s} {'sched ms':>9s} {'scalar':>7s} "
-        f"{'gang':>7s} {'bits':>5s}",
+        f"{'megaop':>7s} {'bits':>5s}",
     ]
     for name, row in outcome["kernels"].items():
         lines.append(
@@ -201,7 +201,7 @@ def report(outcome: dict) -> str:
             f"{row['baseline_seconds'] * 1e3:9.2f} "
             f"{row['scheduled_seconds'] * 1e3:9.2f} "
             f"{row['speedup']:6.2f}x "
-            f"{row['gang_speedup']:6.2f}x "
+            f"{row['megaop_speedup']:6.2f}x "
             f"{'same' if row['bit_identical'] else 'DIFF':>5s}")
     lines.append(
         f"  kernels >= {CHECK_SPEEDUP:.1f}x scalar with bit-identical "
@@ -230,7 +230,7 @@ def step_summary(outcome: dict) -> str:
         f"({'cache hit' if tuner['cached_same_program'] else 'cache miss'})",
         "",
         "| kernel | auto schedule | trials | baseline ms | scheduled ms "
-        "| scalar speedup | gang speedup | bit-identical |",
+        "| scalar speedup | megaop speedup | bit-identical |",
         "|---|---|---|---|---|---|---|---|",
     ]
     for name, row in outcome["kernels"].items():
@@ -240,7 +240,7 @@ def step_summary(outcome: dict) -> str:
             f"| {row['baseline_seconds'] * 1e3:.2f} "
             f"| {row['scheduled_seconds'] * 1e3:.2f} "
             f"| **{row['speedup']:.2f}x** "
-            f"| {row['gang_speedup']:.2f}x "
+            f"| {row['megaop_speedup']:.2f}x "
             f"| {'yes' if row['bit_identical'] else 'NO'} |")
     return "\n".join(lines) + "\n"
 
@@ -275,14 +275,14 @@ def check(outcome: dict) -> bool:
 
 def test_scheduled_outputs_bit_identical():
     """Correctness bar: every auto-scheduled kernel must reproduce the
-    unscheduled scalar output exactly, on the scalar and gang engines."""
+    unscheduled scalar output exactly, on the scalar and megaop engines."""
     for kernel_cls in GATE_KERNELS:
         base = measure_kernel(kernel_cls, None, "scalar", repeats=1)
         sched = measure_kernel(kernel_cls, "auto", "scalar", repeats=1)
-        gang = measure_kernel(kernel_cls, "auto", "gang", repeats=1)
+        megaop = measure_kernel(kernel_cls, "auto", "megaop", repeats=1)
         assert _bit_identical(base["outputs"], sched["outputs"]), \
             base["kernel"]
-        assert _bit_identical(base["outputs"], gang["outputs"]), \
+        assert _bit_identical(base["outputs"], megaop["outputs"]), \
             base["kernel"]
 
 

@@ -127,7 +127,7 @@ async def _serve(tenants: int, requests: int, devices: int,
 
 
 def measure_serving(tenants: int = 4, requests: int = 8,
-                    devices: int = 2, engine: str = "gang",
+                    devices: int = 2, engine: str = "megaop",
                     verify: bool = True) -> dict:
     """The mixed-stream measurement (synchronous wrapper)."""
     return asyncio.run(_serve(tenants, requests, devices, engine, verify))
@@ -136,7 +136,7 @@ def measure_serving(tenants: int = 4, requests: int = 8,
 async def _coalesce_probe(abbrev: str, lanes: int, coalesce: bool) -> dict:
     """``lanes`` single-shred launches of one kernel: queued together
     (one gang) or awaited one at a time (scalar fallback per launch)."""
-    async with ExoServer(num_devices=1, engine="gang") as server:
+    async with ExoServer(num_devices=1, engine="megaop") as server:
         session = server.open_session(
             "probe", SessionQuotas(max_inflight=lanes,
                                    max_surfaces=8 * lanes,

@@ -20,7 +20,7 @@ from repro.serving.demo import run_serving_demo
 
 
 def main() -> None:
-    server = run_serving_demo(requests=8, devices=2, engine="gang")
+    server = run_serving_demo(requests=8, devices=2, engine="megaop")
     stats = server.runtime_stats()
     print(f"engine: gang_lanes={stats.gang_lanes_retired} "
           f"scalar_fallbacks={stats.scalar_fallbacks} "

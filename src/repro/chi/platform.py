@@ -76,10 +76,9 @@ class ExoPlatform:
     baseline), and registers in :attr:`fabric` alongside the IA32
     sequencer class.  ``queue_depth`` / ``admission_policy`` configure the
     per-device admission queues (see :mod:`repro.fabric.queue`);
-    ``gma_engine`` selects the execution engine every GMA instance uses
-    (``"scalar"``, ``"gang"``, ``"fused"`` or ``"megaop"``, see
-    :mod:`repro.gma.gang`, :mod:`repro.gma.fusion` and
-    :mod:`repro.gma.megaop`).
+    ``gma_engine`` selects the execution engine every GMA instance uses:
+    ``"megaop"`` (the default, see :attr:`GmaDevice.ENGINES`) or the
+    ``"scalar"`` reference interpreter.
 
     ``fabric_workers=N`` moves the GMA devices out of process: physical
     memory is rebuilt over a shared-memory segment, a
@@ -105,7 +104,7 @@ class ExoPlatform:
                  queue_depth: Optional[int] = None,
                  admission_policy=AdmissionPolicy.RAISE,
                  atr_shared_cache: bool = True,
-                 gma_engine: str = "scalar",
+                 gma_engine: str = "megaop",
                  fabric_workers: int = 0,
                  schedule=None):
         if num_gma_devices < 1:
@@ -129,9 +128,14 @@ class ExoPlatform:
                 space = AddressSpace(
                     physical=PhysicalMemory(backing="shared"))
             # the pool validates that the backing is actually shared
-            self.fabric_pool = ProcessWorkerPool(
-                space.physical, fabric_workers, gma_config=gma_config,
-                engine=gma_engine)
+            try:
+                self.fabric_pool = ProcessWorkerPool(
+                    space.physical, fabric_workers, gma_config=gma_config,
+                    engine=gma_engine)
+            except BaseException:
+                if self._owns_physical:
+                    space.physical.close()
+                raise
         self.space = space or AddressSpace()
         self.coherence = CoherencePoint(coherent=coherent,
                                         strict=strict_coherence)

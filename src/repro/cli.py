@@ -85,9 +85,11 @@ def chirun(argv=None) -> int:
     parser_.add_argument("--gma-devices", type=int, default=1, metavar="N",
                          help="simulate an N-accelerator fabric (default 1)")
     parser_.add_argument("--engine", choices=GmaDevice.ENGINES,
-                         default="scalar",
-                         help="GMA execution engine: scalar interpretation "
-                              "or gang-vectorized batching (default scalar)")
+                         default="megaop",
+                         help="GMA execution engine: megaop (lockstep "
+                              "gangs with fused and promoted tiers, the "
+                              "default) or the scalar reference "
+                              "interpreter")
     parser_.add_argument("--schedule", default=None, metavar="SPEC",
                          help="schedule transform applied to every "
                               "parallel region's program: 'auto' tunes "
@@ -109,10 +111,9 @@ def chirun(argv=None) -> int:
     args = parser_.parse_args(argv)
     if args.serve:
         from .serving.demo import run_serving_demo
-        engine = args.engine if args.engine != "scalar" else "gang"
         try:
             server = run_serving_demo(
-                devices=max(args.gma_devices, 1), engine=engine,
+                devices=max(args.gma_devices, 1), engine=args.engine,
                 fabric_workers=args.fabric_workers)
         except ReproError as exc:
             print(f"chirun: {exc}", file=sys.stderr)
@@ -125,7 +126,7 @@ def chirun(argv=None) -> int:
                   f"gangs_coalesced={stats.gangs_coalesced} "
                   f"coalesced_lanes={stats.coalesced_lanes}",
                   file=sys.stderr)
-            print(_engine_line(engine, stats), file=sys.stderr)
+            print(_engine_line(args.engine, stats), file=sys.stderr)
         return 0
     if args.image is None:
         parser_.error("an image is required unless --serve is given")

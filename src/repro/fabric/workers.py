@@ -94,7 +94,7 @@ class WorkerConfig:
     shm_name: str
     shm_size: int
     gma_config: GmaTimingConfig
-    engine: str = "scalar"
+    engine: str = "megaop"
     #: Launch-payload staging segment (``None`` disables staging and
     #: every launch pickles over the pipe).
     staging_name: Optional[str] = None
@@ -512,11 +512,14 @@ class ProcessWorkerPool:
 
     def __init__(self, physical: PhysicalMemory, num_workers: int,
                  gma_config: Optional[GmaTimingConfig] = None,
-                 engine: str = "scalar",
+                 engine: str = "megaop",
                  staging_bytes: int = STAGING_BYTES):
         if num_workers < 1:
             raise FabricError(
                 f"need at least one fabric worker, got {num_workers}")
+        # a bad name must fail here, before any child or segment exists,
+        # not in a worker at the first launch
+        GmaDevice.check_engine(engine)
         if physical.shm_name is None:
             raise FabricError(
                 "process fabric workers need a shared-memory-backed "

@@ -30,27 +30,23 @@ class GmaDevice:
 
     ISA = "X3000"
 
-    #: Supported execution engines: "scalar" interprets each shred one
-    #: instruction at a time; "gang" batches same-program launches across
-    #: the shred axis (see :mod:`repro.gma.gang`), with scalar peel-off;
-    #: "fused" adds superblock trace fusion on top of the gang engine
-    #: (see :mod:`repro.gma.fusion`): straight-line regions retire as
-    #: whole compiled blocks with uniform-branch trace chaining;
-    #: "megaop" adds profile-guided trace promotion on top of fusion
-    #: (see :mod:`repro.gma.megaop`): hot chained block cycles compile
-    #: into single composed numpy expressions retiring whole trace
-    #: traversals per Python call, deopting to the fused loop on any
-    #: guard failure.
-    ENGINES = ("scalar", "gang", "fused", "megaop")
+    #: Supported execution engines.  "scalar" interprets each shred one
+    #: instruction at a time: the reference semantics every faster path
+    #: is tested against.  "megaop" (the default) runs same-program
+    #: launches in lockstep on one numpy register file (see
+    #: :mod:`repro.gma.gang`), retires straight-line regions as fused
+    #: superblocks (:mod:`repro.gma.fusion`) and promotes hot block
+    #: cycles to whole-traversal megaops (:mod:`repro.gma.megaop`); each
+    #: tier falls back to the one below it, and anything none can batch
+    #: exactly peels to the scalar interpreter.
+    ENGINES = ("scalar", "megaop")
 
     def __init__(self, space: AddressSpace,
                  exoskeleton: Optional[Exoskeleton] = None,
                  config: Optional[GmaTimingConfig] = None,
                  coherence: Optional[CoherencePoint] = None,
-                 engine: str = "scalar"):
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown GMA engine {engine!r} (choose from {self.ENGINES})")
+                 engine: str = "megaop"):
+        self.check_engine(engine)
         self.space = space
         config = config if config is not None else GmaTimingConfig()
         self.config = config
@@ -73,6 +69,13 @@ class GmaDevice:
         self._spawn_queue: Optional[WorkQueue] = None
         self.touched_read_lines = set()
         self.touched_write_lines = set()
+
+    @classmethod
+    def check_engine(cls, engine: str) -> None:
+        """Raise ``ValueError`` unless ``engine`` names a GMA engine."""
+        if engine not in cls.ENGINES:
+            raise ValueError(
+                f"unknown GMA engine {engine!r} (choose from {cls.ENGINES})")
 
     # -- context switching -------------------------------------------------------
 

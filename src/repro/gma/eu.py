@@ -289,10 +289,10 @@ def _try_lockstep_closed_form(populated: List[_Context],
     """Closed-form schedule for gang-lockstep launches, or ``None``.
 
     When every populated context replays exactly one shred and all the
-    traces are identical (the gang/fused/megaop engines retire the same
-    instruction sequence on every shred), the switch-on-stall rotation
-    is strict: context ``k`` always issues instruction ``i`` right after
-    context ``k-1`` does.  If additionally no latency outlives the
+    traces are identical (a uniform launch on the megaop engine retires
+    the same instruction sequence on every shred), the switch-on-stall
+    rotation is strict: context ``k`` always issues instruction ``i``
+    right after context ``k-1`` does.  If additionally no latency outlives the
     cover provided by the ``n-1`` peer issues between a context's turns
     — ``l[i] <= (n-1) * min(s[i], s[i+1])`` for every non-final
     instruction — then no stall is ever exposed and every event starts

@@ -90,20 +90,17 @@ class EmulationFirmware:
         self.device._live_contexts = live_contexts
         self.device._spawn_queue = queue
 
-        engine = getattr(self.device, "engine", "scalar")
         cache = predecode.CACHE
         hits_before, misses_before = cache.hits, cache.misses
 
         executed: List[ShredRun] = []
-        ganged = engine in ("gang", "fused", "megaop")
+        ganged = self.device.engine == "megaop"
         while len(queue):
             if ganged:
                 batch = self._gang_batch(queue)
                 if batch is not None:
                     outcome = run_gang(self.device, batch, mailboxes,
-                                       live_contexts,
-                                       fusion=engine in ("fused", "megaop"),
-                                       megaop=engine == "megaop")
+                                       live_contexts)
                     for shred in batch:
                         queue.mark_done(shred.shred_id)
                     executed.extend(outcome.runs)

@@ -1,10 +1,10 @@
-"""Superblock trace fusion for the gang engine.
+"""Superblock trace fusion: the megaop engine's middle tier.
 
-The gang engine (PR 3/4) batches *lanes* per instruction but still pays
-one Python dispatch round — batch-class switch, guard-mask build, one
-``account_instruction`` call per shred — for every instruction.  On
-ALU-bound kernels that dispatch is now the dominant host cost.  This
-module amortizes it over whole straight-line regions:
+The gang loop (:mod:`repro.gma.gang`) batches *lanes* per instruction
+but still pays one Python dispatch round — batch-class switch,
+guard-mask build, one ``account_instruction`` call per shred — for
+every instruction.  On ALU-bound kernels that dispatch is the dominant
+host cost.  This module amortizes it over whole straight-line regions:
 
 * :func:`repro.isa.blocks.discover_blocks` finds the basic blocks once
   per program;
@@ -49,7 +49,7 @@ from ..isa import cfg, predecode
 from ..isa.blocks import BasicBlock, discover_blocks
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
-from .gang import _apply_alu_batched
+from .gang import _apply_alu_batched, branch_taken, split_divergence
 from .interpreter import (
     MAX_INSTRUCTIONS,
     ShredRun,
@@ -161,8 +161,8 @@ def _charge(block: CompiledBlock, upto: int, active: Sequence[int],
 
 def run_fused(fused: FusedProgram, ip: int, active: List[int],
               V: np.ndarray, P: np.ndarray, ctxs, recs, config, outcome,
-              defer, finish_one, symcache=None, recorder=None,
-              rows=None, diverge=None, stop_ip=None):
+              finish_one, symcache: dict, recorder, rows: np.ndarray,
+              diverge, stop_ip: Optional[int]):
     """Retire as many fused blocks as possible starting at ``ip``.
 
     Returns ``(next_ip, active)`` after making progress — the per-
@@ -175,19 +175,14 @@ def run_fused(fused: FusedProgram, ip: int, active: List[int],
     every uniformly resolved block exit — the megaop tier's promotion
     profile — and is reset by anything that breaks the trace.
 
-    ``rows`` carries the gang's storage rows when ``V``/``P`` are a
-    dense sub-gang pack (rows are then pack-relative, not shred
-    indices); ``diverge`` routes a divergent branch's losing side
-    (park-or-peel); ``stop_ip`` is the innermost pending reconvergence
-    join — chaining never enters it, so the gang suspends there
-    precisely.
+    ``rows`` are the active lanes' rows of ``V``/``P`` (pack-relative
+    when those are a dense sub-gang pack); ``diverge`` routes a
+    divergent branch's losing side (park-or-peel); ``stop_ip`` is the
+    innermost pending reconvergence join, or None — chaining never
+    enters it, so the gang suspends there precisely.
     """
     progressed = False
     block = fused.blocks.get(ip)
-    # ``active`` is invariant across chained blocks (divergence returns),
-    # so the row index array is built once per call, not once per block
-    if rows is None:
-        rows = np.asarray(active)
     # re-admitted gangs need not hold uniform counts: budget from the
     # most advanced record so no lane retires past the runaway cap
     max_budget = MAX_INSTRUCTIONS - max(recs[i].instructions
@@ -220,8 +215,7 @@ def run_fused(fused: FusedProgram, ip: int, active: List[int],
             # nothing, so the loop re-runs it (and its per-shred
             # fallback) at the precise ip
             _charge(block, failed_at, active, recs, config, outcome)
-            if recorder is not None:
-                recorder.reset()
+            recorder.reset()
             resume = block.start + failed_at
             if failed_at == 0 and not progressed:
                 return None
@@ -235,12 +229,11 @@ def run_fused(fused: FusedProgram, ip: int, active: List[int],
             _charge(block, block.body_len, active, recs, config, outcome)
             outcome.fused_blocks_retired += 1
             progressed = True
-            if recorder is not None:
-                recorder.note(block.start, "x")
+            recorder.note(block.start, "x")
             ip = block.end
             if ip == stop_ip:  # pending reconvergence join: suspend
                 return (ip, active)
-            if recorder is not None and recorder.promoted(ip):
+            if recorder.promoted(ip):
                 return (ip, active)
             succ = block.chain_fall
             if succ is _UNRESOLVED:
@@ -253,19 +246,13 @@ def run_fused(fused: FusedProgram, ip: int, active: List[int],
         if op is Opcode.END:
             _charge(block, block.ninstr, active, recs, config, outcome)
             outcome.fused_blocks_retired += 1
-            if recorder is not None:
-                recorder.reset()
+            recorder.reset()
             for i in active:
                 finish_one(i)
             return (block.end, [])
 
         # JMP / BR with a predecoded target
-        if op is Opcode.JMP and term.instr.pred is None:
-            taken = np.ones(len(active), dtype=bool)
-        else:
-            guard = term.instr.pred
-            any_lane = P[rows, guard.index, :].any(axis=1)
-            taken = ~any_lane if guard.negate else any_lane
+        taken = branch_taken(term.instr, P, rows)
         # the branch's trace entry is direction independent: charge it
         # (with the body) for every active shred before any split
         _charge(block, block.ninstr, active, recs, config, outcome)
@@ -273,12 +260,11 @@ def run_fused(fused: FusedProgram, ip: int, active: List[int],
         progressed = True
         if taken.all():
             outcome.trace_chains += 1
-            if recorder is not None:
-                recorder.note(block.start, "t")
+            recorder.note(block.start, "t")
             ip = term.target
             if ip == stop_ip:  # pending reconvergence join: suspend
                 return (ip, active)
-            if recorder is not None and recorder.promoted(ip):
+            if recorder.promoted(ip):
                 return (ip, active)
             succ = block.chain_taken
             if succ is _UNRESOLVED:
@@ -288,12 +274,11 @@ def run_fused(fused: FusedProgram, ip: int, active: List[int],
             continue
         if not taken.any():
             outcome.trace_chains += 1
-            if recorder is not None:
-                recorder.note(block.start, "f")
+            recorder.note(block.start, "f")
             ip = block.end
             if ip == stop_ip:  # pending reconvergence join: suspend
                 return (ip, active)
-            if recorder is not None and recorder.promoted(ip):
+            if recorder.promoted(ip):
                 return (ip, active)
             succ = block.chain_fall
             if succ is _UNRESOLVED:
@@ -302,25 +287,7 @@ def run_fused(fused: FusedProgram, ip: int, active: List[int],
             block = succ
             continue
 
-        # divergence: exactly the per-instruction loop's split — the
-        # majority stays ganged, ties keep the lowest queue position's
-        # outcome, the minority parks toward the reconvergence point or
-        # defers at its exit ip
-        if recorder is not None:
-            recorder.reset()
-        taken_count = int(taken.sum())
-        if taken_count * 2 == len(active):
-            keep_taken = bool(taken[0])
-        else:
-            keep_taken = taken_count * 2 > len(active)
-        stay_ip = term.target if keep_taken else block.end
-        exit_ip = block.end if keep_taken else term.target
-        losers = [i for pos, i in enumerate(active)
-                  if bool(taken[pos]) != keep_taken]
-        if diverge is not None:
-            diverge(block.term_ip, exit_ip, losers)
-        else:
-            defer([(i, exit_ip) for i in losers])
-        active = [i for pos, i in enumerate(active)
-                  if bool(taken[pos]) == keep_taken]
-        return (stay_ip, active)
+        # divergence: exactly the per-instruction loop's split
+        recorder.reset()
+        return split_divergence(taken, active, block.term_ip, term.target,
+                                block.end, diverge)

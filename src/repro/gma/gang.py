@@ -1,11 +1,15 @@
 """Gang-vectorized SIMT execution of one homogeneous shred batch.
 
 When every queued shred runs the same :class:`~repro.isa.program.Program`
-(the common kernel-launch case), the gang engine executes them in
+(the common kernel-launch case), the megaop engine executes them in
 lockstep: one numpy register file with a leading *shred axis* —
 ``V[shred, vreg, lane]`` / ``P[shred, preg, lane]`` — so each decoded
 instruction applies to all active shreds in a single vectorized
 operation instead of N scalar trips through ``semantics.execute``.
+This module is that engine's base tier and owns the gang: the fused
+(:mod:`repro.gma.fusion`) and megaop (:mod:`repro.gma.megaop`) tiers
+run on its register file and hand control back to its per-instruction
+loop at the precise ip whenever they cannot retire an instruction.
 
 The scalar interpreter remains the reference semantics.  Anything the
 gang cannot prove it can batch exactly is *peeled*: the affected shreds
@@ -217,21 +221,49 @@ def gang_eligible(device, shreds: Sequence[ShredDescriptor]) -> bool:
     return predecode.lookup(program).gangable
 
 
+def branch_taken(instr, P: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per gang row: does this JMP/BR go to its target?  A guarded
+    branch is taken when any lane of its predicate is set (none, for
+    ``!p``)."""
+    if instr.opcode is Opcode.JMP and instr.pred is None:
+        return np.ones(len(rows), dtype=bool)
+    guard = instr.pred
+    any_lane = P[rows, guard.index, :].any(axis=1)
+    return ~any_lane if guard.negate else any_lane
+
+
+def split_divergence(taken: np.ndarray, active: List[int], branch_ip: int,
+                     taken_ip: int, fall_ip: int,
+                     diverge) -> Tuple[int, List[int]]:
+    """Split the gang at a divergent branch; returns ``(ip, survivors)``.
+
+    The majority stays ganged and a tie keeps the side of the lowest
+    queue position.  The minority goes to ``diverge`` with its exit ip,
+    to park toward the reconvergence point or take the deferred peel.
+    """
+    count = int(taken.sum())
+    if count * 2 == len(active):
+        keep = bool(taken[0])
+    else:
+        keep = count * 2 > len(active)
+    diverge(branch_ip, fall_ip if keep else taken_ip,
+            [i for pos, i in enumerate(active) if bool(taken[pos]) != keep])
+    return (taken_ip if keep else fall_ip,
+            [i for pos, i in enumerate(active) if bool(taken[pos]) == keep])
+
+
 def run_gang(device, shreds: Sequence[ShredDescriptor],
              mailboxes: Dict[int, list],
-             live_contexts: Dict[int, ShredContext],
-             fusion: bool = False, megaop: bool = False) -> GangOutcome:
+             live_contexts: Dict[int, ShredContext]) -> GangOutcome:
     """Execute a homogeneous batch in lockstep; returns runs in order.
 
-    With ``fusion`` enabled (``engine="fused"``), straight-line regions
-    retire as whole compiled superblocks with uniform-branch trace
-    chaining (:mod:`repro.gma.fusion`); anything the fused path cannot
-    retire bit-identically drops back to this per-instruction loop.
-    With ``megaop`` additionally enabled (``engine="megaop"``, which
-    implies fusion), hot block cycles promote to compiled megaops
-    (:mod:`repro.gma.megaop`) that retire whole trace traversals per
-    dispatch, deopting to the fused tier at the precise ip on any guard
-    failure.
+    Three tiers share the gang, each falling back to the next at the
+    precise ip: hot block cycles promoted to compiled megaops
+    (:mod:`repro.gma.megaop`) retire whole trace traversals per
+    dispatch; straight-line regions retire as compiled superblocks with
+    uniform-branch trace chaining (:mod:`repro.gma.fusion`); and this
+    per-instruction loop owns everything else, peeling what it cannot
+    batch to the scalar interpreter.
     """
     program = shreds[0].program
     pre_prog = predecode.lookup(program)
@@ -402,18 +434,14 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
         pairs = [(j, ip) for j in sorted(faulted + trailing)]
         return survivors, pairs
 
-    if fusion:
-        # deferred import: fusion's compiled steps reuse this module's
-        # batched ALU datapath
-        from .fusion import get_fused, run_fused
-        fused, compiled = get_fused(program, pre_prog)
-        outcome.fusion_compiles += compiled
-    mega = None
-    recorder = None
-    if megaop and fusion:
-        from .megaop import MegaSession, run_megaop
-        mega = MegaSession(program, pre_prog, fused, outcome)
-        recorder = mega.recorder
+    # deferred imports: the fused and megaop tiers reuse this module's
+    # batched datapaths
+    from .fusion import get_fused, run_fused
+    from .megaop import MegaSession, run_megaop
+    fused, compiled = get_fused(program, pre_prog)
+    outcome.fusion_compiles += compiled
+    mega = MegaSession(program, pre_prog, fused, outcome)
+    recorder = mega.recorder
     # per-run symbol memo: bindings are frozen at spawn, so each shred's
     # symbol resolves once per run instead of once per read
     symcache: Dict[str, tuple] = {}
@@ -449,12 +477,11 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 if active:
                     adopt(active, parked_origin=False,
                           mixed=frame.mixed or frame.sources > 1)
-                    if recorder is not None:
-                        # the merged gang is a fresh trace head: let the
-                        # recorder profile (and the megaop tier promote)
-                        # from the join instead of deopting for the rest
-                        # of the launch
-                        recorder.reset()
+                    # the merged gang is a fresh trace head: let the
+                    # recorder profile (and the megaop tier promote) from
+                    # the join instead of deopting for the rest of the
+                    # launch
+                    recorder.reset()
             if not active:
                 break
             if repack_pending:
@@ -475,36 +502,31 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 defer([(i, ip) for i in active])
                 active = []
                 continue
-            if mega is not None:
-                mop = mega.ops.get(ip)
-                if mop is not None and not (frames
-                                            and frames[-1].join in mop.ips):
-                    # (a megaop whose trace crosses the pending join must
-                    # not dispatch: it would blast through the suspension
-                    # point — the fused tier below stops there precisely)
-                    stepped = run_megaop(mop, device, active, gV, gP, ctxs,
-                                         recs, config, outcome, defer,
-                                         symcache, rows=grows,
-                                         diverge=diverge)
-                    if stepped is not None:
-                        # the recorder window is stale across a megaop
-                        # (its traversals are not noted one by one)
-                        recorder.reset()
-                        ip, active = stepped
-                        continue
-            if fusion:
-                fused_to = run_fused(fused, ip, active, gV, gP, ctxs, recs,
-                                     config, outcome, defer, finish_one,
-                                     symcache, recorder, rows=grows,
-                                     diverge=diverge,
-                                     stop_ip=(frames[-1].join if frames
-                                              else None))
-                if fused_to is not None:
-                    ip, active = fused_to
+            mop = mega.ops.get(ip)
+            if mop is not None and not (frames
+                                        and frames[-1].join in mop.ips):
+                # (a megaop whose trace crosses the pending join must not
+                # dispatch: it would blast through the suspension point —
+                # the fused tier below stops there precisely)
+                stepped = run_megaop(mop, device, active, gV, gP, ctxs,
+                                     recs, config, outcome, symcache, grows,
+                                     diverge)
+                if stepped is not None:
+                    # the recorder window is stale across a megaop (its
+                    # traversals are not noted one by one)
+                    recorder.reset()
+                    ip, active = stepped
                     continue
+            fused_to = run_fused(fused, ip, active, gV, gP, ctxs, recs,
+                                 config, outcome, finish_one, symcache,
+                                 recorder, grows, diverge,
+                                 frames[-1].join if frames else None)
+            if fused_to is not None:
+                ip, active = fused_to
+                continue
             pre = pre_prog.instrs[ip]
             cls = pre.batch_class
-            if recorder is not None and cls != predecode.BATCH_MEM:
+            if cls != predecode.BATCH_MEM:
                 # only batched memory retirements extend a recorded
                 # trace; any other per-instruction handling breaks it
                 recorder.reset()
@@ -529,12 +551,7 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                     ip += 1
                     continue
                 # JMP / BR with a predecoded target
-                if op is Opcode.JMP and pre.instr.pred is None:
-                    taken = np.ones(len(active), dtype=bool)
-                else:
-                    guard = pre.instr.pred
-                    any_lane = gP[grows, guard.index, :].any(axis=1)
-                    taken = ~any_lane if guard.negate else any_lane
+                taken = branch_taken(pre.instr, gP, grows)
                 eff = Effect()  # trace entry is branch-direction independent
                 for i in active:
                     account_instruction(recs[i], pre.instr, eff, config)
@@ -545,22 +562,8 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 if not taken.any():
                     ip += 1
                     continue
-                # divergence: the majority stays ganged; the losers park
-                # toward the reconvergence point when the region is pure,
-                # else take the deferred peel
-                taken_count = int(taken.sum())
-                if taken_count * 2 == len(active):
-                    keep_taken = bool(taken[0])
-                else:
-                    keep_taken = taken_count * 2 > len(active)
-                stay_ip = pre.target if keep_taken else ip + 1
-                exit_ip = ip + 1 if keep_taken else pre.target
-                diverge(ip, exit_ip,
-                        [i for pos, i in enumerate(active)
-                         if bool(taken[pos]) != keep_taken])
-                active = [i for pos, i in enumerate(active)
-                          if bool(taken[pos]) == keep_taken]
-                ip = stay_ip
+                ip, active = split_divergence(taken, active, ip,
+                                              pre.target, ip + 1, diverge)
                 continue
 
             if cls == predecode.BATCH_PEEL:
@@ -600,14 +603,12 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 except ExecutionFault:
                     ok = False
                 if ok:
-                    if recorder is not None:
-                        recorder.note(ip, "m")
+                    recorder.note(ip, "m")
                     ip += 1
                     continue
                 # fall through to the per-shred reference step
 
-            if recorder is not None:
-                recorder.reset()
+            recorder.reset()
             # scalar semantics write through the lane views into the
             # root arrays, so a pack syncs out first and refreshes the
             # survivors' rows afterwards

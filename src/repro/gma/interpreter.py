@@ -25,7 +25,7 @@ from ..isa.types import VLEN
 from .context import ShredContext
 from .timing import GmaTimingConfig
 
-#: Runaway-loop backstop shared by the scalar and gang engines.
+#: Runaway-loop backstop shared by the scalar and megaop engines.
 MAX_INSTRUCTIONS = 2_000_000
 
 
@@ -75,7 +75,7 @@ def account_instruction(rec: ShredRun, instr, effect,
                         config: GmaTimingConfig) -> None:
     """Append one retired instruction to a run record.
 
-    Shared by the scalar interpreter and the gang engine so the
+    Shared by the scalar interpreter and the gang tier so the
     (issue, latency) trace and every counter accrue identically no matter
     which engine retired the instruction.
     """
@@ -101,7 +101,7 @@ def finish_run(rec: ShredRun, config: GmaTimingConfig) -> None:
 class ShredInterpreter:
     """Drives one shred from entry to ``end``.
 
-    ``entry_ip``/``run_record`` let the gang engine hand a diverged shred
+    ``entry_ip``/``run_record`` let the gang tier hand a diverged shred
     back to this reference interpreter mid-flight: execution resumes at
     the peel point and keeps accruing into the gang-started record.
     """

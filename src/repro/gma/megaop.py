@@ -1,6 +1,6 @@
 """Tiered JIT: hot fused-trace cycles promoted to native numpy megaops.
 
-The fused engine (:mod:`repro.gma.fusion`) retires whole superblocks in
+The fused tier (:mod:`repro.gma.fusion`) retires whole superblocks in
 one dispatch round and *chains* through uniform branches, but every
 chained block still pays one Python trip per block — and every batched
 ALU step inside it pays the generic operand decode, guard-mask build and
@@ -13,7 +13,7 @@ charges precomputed — and execution retires *many complete traversals
 per Python call*, charging the accounting in one bulk extend at exit.
 
 Promotion is profile guided: a :class:`TraceRecorder` rides along with
-the fused engine, noting each block exit (uniform-taken ``"t"``,
+the fused tier, noting each block exit (uniform-taken ``"t"``,
 uniform-fall ``"f"``, fall-through ``"x"``) and each batched memory
 retirement (``"m"``).  When the note stream revisits an ip, the window
 between the two visits is a cycle; after :data:`PROMOTE_THRESHOLD`
@@ -48,7 +48,8 @@ from ..isa.opcodes import Opcode
 from ..isa.operands import ImmOperand, PredOperand, RegOperand, SymOperand
 from ..isa.semantics import _COMPARES
 from ..isa.types import DataType, VLEN
-from .gang import _apply_alu_batched, _apply_mem_batched, _read_batched
+from .gang import (_apply_alu_batched, _apply_mem_batched, _read_batched,
+                   split_divergence)
 from .interpreter import MAX_INSTRUCTIONS, trace_entry
 
 #: Recorded traversals of one cycle before it compiles.
@@ -634,9 +635,9 @@ def _charge_mega(mop: MegaOp, k: int, m: int, active: Sequence[int],
 
 
 def run_megaop(mop: MegaOp, device, active: List[int], V: np.ndarray,
-               P: np.ndarray, ctxs, recs, config, outcome, defer,
-               symcache, rows=None,
-               diverge=None) -> Optional[Tuple[int, List[int]]]:
+               P: np.ndarray, ctxs, recs, config, outcome, symcache: dict,
+               rows: np.ndarray,
+               diverge) -> Optional[Tuple[int, List[int]]]:
     """Retire as many whole traversals of this cycle as possible.
 
     Returns ``(next_ip, active)`` after making progress, or None when
@@ -645,14 +646,11 @@ def run_megaop(mop: MegaOp, device, active: List[int], V: np.ndarray,
     charges exactly the retired instructions; a deopt resumes at the
     precise ip of the first uncommitted instruction.
 
-    ``rows`` carries the gang's storage rows when ``V``/``P`` are a
-    dense sub-gang pack (pack-relative, not shred indices); ``diverge``
-    routes a divergent branch's losing side (park-or-peel) instead of
-    deferring it straight to the scalar interpreter.
+    ``rows`` are the active lanes' rows of ``V``/``P`` (pack-relative
+    when those are a dense sub-gang pack); ``diverge`` routes a
+    divergent branch's losing side (park-or-peel).
     """
     na = len(active)
-    if rows is None:
-        rows = np.asarray(active)
     sl = slice(None) if na == V.shape[0] else rows
     env = MegaEnv()
     env.rows = rows
@@ -741,28 +739,10 @@ def run_megaop(mop: MegaOp, device, active: List[int], V: np.ndarray,
             return None
         return (stop[1], active)
 
-    # divergence: exactly the fused engine's split — majority stays
-    # ganged, ties keep the lowest queue position's outcome, the
-    # minority parks toward the reconvergence point or defers at its
-    # exit ip.  The branch itself is charged (its trace entry is
-    # direction independent).
+    # divergence: exactly the per-instruction loop's split.  The branch
+    # itself is charged (its trace entry is direction independent).
     taken, st = stop[1], stop[2]
     _charge_mega(mop, k, st[6] + 1, active, recs, config, outcome)
     outcome.megaops_retired += k
     outcome.megaop_deopts += 1
-    taken_count = int(taken.sum())
-    if taken_count * 2 == na:
-        keep_taken = bool(taken[0])
-    else:
-        keep_taken = taken_count * 2 > na
-    stay_ip = st[4] if keep_taken else st[5]
-    exit_ip = st[5] if keep_taken else st[4]
-    losers = [i for pos, i in enumerate(active)
-              if bool(taken[pos]) != keep_taken]
-    if diverge is not None:
-        diverge(st[7], exit_ip, losers)
-    else:
-        defer([(i, exit_ip) for i in losers])
-    active = [i for pos, i in enumerate(active)
-              if bool(taken[pos]) == keep_taken]
-    return (stay_ip, active)
+    return split_divergence(taken, active, st[7], st[4], st[5], diverge)

@@ -1,6 +1,6 @@
 """Basic-block discovery and reconvergence over a predecoded program.
 
-The gang engine's fused executor (:mod:`repro.gma.fusion`) amortizes its
+The megaop engine's fused tier (:mod:`repro.gma.fusion`) amortizes its
 per-instruction Python dispatch over whole straight-line regions.  This
 module finds those regions once per program: a *basic block* is a maximal
 run of instructions the gang can retire back-to-back without consulting
@@ -126,7 +126,7 @@ def discover_blocks(pre_prog: PredecodedProgram,
 # must pass through before the shred can retire.  (This subsumes
 # loop-header join points: for a loop-exit branch the ipdom is the loop's
 # fall-through, so the continuing arm simply laps the loop until it exits
-# there.)  The gang engine uses the ipdom as the re-admission point for
+# there.)  The gang tier uses the ipdom as the re-admission point for
 # suspended sub-gangs, so the computation must be *sound*, never
 # optimistic: a branch whose region it cannot prove pure just keeps the
 # deferred-peel behaviour.

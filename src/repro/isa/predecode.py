@@ -14,7 +14,7 @@ the result keyed by program identity:
   ``execute`` hoisted to decode time;
 * ``handler`` — a slot the scalar interpreter fills with its opcode
   dispatch entry on first execution;
-* ``batch_class`` — how the gang engine (:mod:`repro.gma.gang`) may treat
+* ``batch_class`` — how the gang tier (:mod:`repro.gma.gang`) may treat
   the instruction: natively vectorized across the shred axis, executed
   per shred while the gang stays resident, or a full peel-off to the
   scalar interpreter.
@@ -46,7 +46,7 @@ from .operands import (
 from .program import Program
 from .types import DataType, NUM_PREGS, NUM_VREGS, VLEN
 
-#: How the gang engine treats one instruction.
+#: How the gang tier treats one instruction.
 BATCH_CONTROL = "control"      # END/NOP/FENCE/JMP/BR: handled natively
 BATCH_ALU = "alu"              # one numpy op across the whole shred axis
 BATCH_MEM = "batch_mem"        # lockstep batched translate + gather/scatter
@@ -89,7 +89,7 @@ class PredecodedInstr:
     reconv: Optional[int] = None
     #: True when the whole divergent region between this branch and
     #: ``reconv`` is free of ordered side effects (no ``BATCH_PEEL``
-    #: instruction), so the gang engine may park the minority as a
+    #: instruction), so the gang tier may park the minority as a
     #: suspended sub-gang and re-admit it at ``reconv`` instead of
     #: peeling it to the scalar interpreter.
     repackable: bool = False
@@ -412,7 +412,7 @@ class PredecodeCache:
             }
 
 
-#: The process-wide cache used by both the scalar and gang engines.
+#: The process-wide cache used by both the scalar and megaop engines.
 CACHE = PredecodeCache()
 
 

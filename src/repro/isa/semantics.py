@@ -419,7 +419,7 @@ def execute_alu_batched(instr: Instruction, srcs, ty: DataType,
     layout.  Most opcodes are elementwise, so :func:`_alu_compute` already
     handles them; only the shape-sensitive ones (``iota``/``bcast`` and the
     horizontal reductions) need a batched formulation.  Faults raised here
-    (divide-by-zero and the like) are *batch-level*: the gang engine treats
+    (divide-by-zero and the like) are *batch-level*: the gang tier treats
     them as "re-run this step per shred" so the scalar reference produces
     the architectural per-shred fault.
     """

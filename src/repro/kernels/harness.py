@@ -27,7 +27,7 @@ from .base import Geometry, MediaKernel
 @dataclass(kw_only=True)
 class KernelRunResult(EngineCounters):
     """Aggregate outcome of running every frame of one kernel config
-    (engine counters zero under the scalar engine)."""
+    (engine counters stay zero on a ``"scalar"`` device)."""
 
     kernel: MediaKernel
     geometry: Geometry
@@ -72,7 +72,7 @@ def schedule_kernel_program(kernel: MediaKernel, geom: Geometry,
     """Build + schedule; returns ``(program, spec, tuner_trials)``.
 
     With ``verify=True`` the auto-tuner only accepts candidates that
-    reproduce frame 0 bit-exactly on a scratch scalar device.
+    reproduce frame 0 bit-exactly on a scratch default device.
     """
     program = assemble(kernel.asm_source(geom), name=kernel.abbrev)
     verifier = (make_schedule_verifier(kernel, geom)
@@ -83,7 +83,7 @@ def schedule_kernel_program(kernel: MediaKernel, geom: Geometry,
 
 def make_schedule_verifier(kernel: MediaKernel, geom: Geometry, seed: int = 0):
     """A tuner verify hook: candidate must match the numpy reference
-    bit-exactly for frame 0 on a fresh scalar device."""
+    bit-exactly for frame 0 on a fresh default device."""
     def verify(program: Program) -> bool:
         space = AddressSpace()
         device = GmaDevice(space)

@@ -208,7 +208,7 @@ class PhysicalMemory:
         """Write one typed element at each physical address in ``paddrs``.
 
         Duplicate addresses resolve last-writer-wins in flattened (C)
-        order, which is exactly the shred queue order the gang engine
+        order, which is exactly the shred queue order the gang tier
         feeds them in.
         """
         paddrs = np.asarray(paddrs, dtype=np.int64)

@@ -109,7 +109,7 @@ class Surface:
         offset = (ys % TILE) * TILE + (xs % TILE)
         return self.base + (tile_index * TILE * TILE + offset) * self.esize
 
-    # -- batched lane access (the gang engine's path) ----------------------------
+    # -- batched lane access (the gang tier's path) ----------------------------
 
     def read_elements(self, accessor, xs: np.ndarray,
                       ys: np.ndarray) -> np.ndarray:

@@ -116,7 +116,7 @@ class Tlb:
         to the ATR batched proxy round trip.
 
         Unlike :meth:`lookup` this neither reorders the LRU chain nor
-        counts ``hits``/``misses``: it is the gang engine's wide probe,
+        counts ``hits``/``misses``: it is the gang tier's wide probe,
         architecturally one access, and its accounting is the separate
         ``vector_hits`` counter.  ``write`` is accepted for signature
         parity with the view-level translate; entries are opaque here so

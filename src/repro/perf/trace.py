@@ -85,7 +85,7 @@ def fabric_chrome_trace_events(reports: Sequence,
     A report that carries nonzero ``wall_seconds`` (a
     :func:`~repro.fabric.dispatcher.drain_devices` drain) gets the host
     wall-clock attached to its metadata row; a report whose results carry
-    engine counters (the gang engine) gets a Chrome counter track.
+    engine counters (the megaop engine) gets a Chrome counter track.
     """
     events: List[dict] = []
     for pid, report in enumerate(reports):

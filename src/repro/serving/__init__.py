@@ -13,7 +13,8 @@ weighted fair dequeue, reject-with-retry-after under the RAISE policy)
 layered on the existing :class:`~repro.fabric.queue.DeviceWorkQueue`
 backpressure, then reach a dispatcher that performs *cross-launch gang
 formation*: same-program single-shred launches from different queued
-requests coalesce into one gang so the gang/fused engines engage.
+requests coalesce into one gang so the megaop engine's batched tiers
+engage.
 Per-tenant demux keeps every request's outputs and per-shred counters
 bit-identical to solo execution.
 """

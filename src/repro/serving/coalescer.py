@@ -1,7 +1,7 @@
 """Cross-launch gang formation: coalesce and demultiplex.
 
 The four flat media kernels (AlphaBlend, BOB, ADVDI, ProcAmp) launch a
-*single* shred per request at smoke geometry, so the gang engine never
+*single* shred per request at smoke geometry, so the gang tier never
 engages for them — one lane is not a gang.  Under serving load, though,
 many requests for the same kernel sit queued together.  The coalescer
 merges same-program single-launch requests from one session into one
@@ -16,7 +16,7 @@ tenant's space and exoskeleton per drain), never reorders one session's
 requests past each other in a batch (queue order is preserved), and the
 demux hands every request exactly the :class:`~repro.gma.interpreter.
 ShredRun` records its own shreds produced — bit-identical payloads and
-counters to a solo run, because the gang engine itself is bit-identical
+counters to a solo run, because the megaop engine itself is bit-identical
 to the scalar interpreter.
 """
 

@@ -43,7 +43,7 @@ async def _client(server: ExoServer, session, kernels: List[str],
 
 
 async def serve_demo(tenants: Optional[Dict] = None, requests: int = 6,
-                     devices: int = 2, engine: str = "gang",
+                     devices: int = 2, engine: str = "megaop",
                      verify: bool = True,
                      fabric_workers: int = 0) -> ExoServer:
     """Run the demo trace; returns the stopped server for inspection."""
@@ -67,7 +67,7 @@ async def serve_demo(tenants: Optional[Dict] = None, requests: int = 6,
 
 
 def run_serving_demo(requests: int = 6, devices: int = 2,
-                     engine: str = "gang", verify: bool = True,
+                     engine: str = "megaop", verify: bool = True,
                      out=print, fabric_workers: int = 0) -> ExoServer:
     """Synchronous wrapper: run the demo and print a report."""
     server = asyncio.run(serve_demo(requests=requests, devices=devices,

@@ -109,7 +109,7 @@ class DeviceSlot:
     def __init__(self, name: str, gma: Optional[GmaDevice],
                  queue: DeviceWorkQueue,
                  worker: Optional[ProcessDeviceWorker] = None,
-                 engine: str = "gang",
+                 engine: str = "megaop",
                  config: Optional[GmaTimingConfig] = None):
         self.name = name
         self.gma = gma
@@ -123,7 +123,7 @@ class DeviceSlot:
 class ExoServer:
     """Async multi-tenant front-end over a pool of GMA devices."""
 
-    def __init__(self, num_devices: int = 2, engine: str = "gang",
+    def __init__(self, num_devices: int = 2, engine: str = "megaop",
                  queue_depth: Optional[int] = None,
                  admission_policy=AdmissionPolicy.BLOCK,
                  max_pending: int = 256, coalesce_window: int = 32,
@@ -157,9 +157,15 @@ class ExoServer:
                                    name=f"gma{i}-queue")
 
         if fabric_workers:
-            self.fabric_pool = ProcessWorkerPool(
-                self.physical, fabric_workers, gma_config=config,
-                engine=engine)
+            try:
+                self.fabric_pool = ProcessWorkerPool(
+                    self.physical, fabric_workers, gma_config=config,
+                    engine=engine)
+            except BaseException:
+                if self._owns_physical:
+                    self._owns_physical = False
+                    self.physical.close()
+                raise
             self.slots = [
                 DeviceSlot(name=f"gma{i}", gma=None, queue=_queue(i),
                            worker=self.fabric_pool.worker_for(i),

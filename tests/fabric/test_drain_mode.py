@@ -22,7 +22,7 @@ end
 
 
 def _region(devices=2, shreds=8):
-    platform = ExoPlatform(num_gma_devices=devices, gma_engine="gang")
+    platform = ExoPlatform(num_gma_devices=devices, gma_engine="megaop")
     runtime = ChiRuntime(platform)
     region = runtime.parallel(ASM, num_threads=shreds)
     return runtime, region.wait()

@@ -145,7 +145,7 @@ class TestCounterAggregation:
         assert stats.gang_lanes_retired == 15
 
     def test_runtime_accumulates_engine_counters(self):
-        platform = ExoPlatform(gma_engine="gang")
+        platform = ExoPlatform(gma_engine="megaop")
         runtime = ChiRuntime(platform)
         runtime.parallel(UNIFORM_ASM, num_threads=4,
                          firstprivate={"iters": 3.0})

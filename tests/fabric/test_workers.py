@@ -324,3 +324,28 @@ class TestPlatformIntegration:
         platform = ExoPlatform(fabric_workers=1)
         platform.close()
         platform.close()
+
+
+class TestEngineValidation:
+    """A name outside ``GmaDevice.ENGINES`` fails at construction on
+    every layer, before any worker process or shared segment exists."""
+
+    @staticmethod
+    def _leftovers():
+        import multiprocessing
+        from pathlib import Path
+
+        return ({p.pid for p in multiprocessing.active_children()},
+                {p.name for p in Path("/dev/shm").glob("psm_*")})
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("engine", ["bogus", "gang", "fused"])
+    def test_constructors_reject_and_leave_nothing(self, engine, workers):
+        from repro.serving import ExoServer
+
+        before = self._leftovers()
+        with pytest.raises(ValueError, match="unknown GMA engine"):
+            ExoPlatform(gma_engine=engine, fabric_workers=workers)
+        with pytest.raises(ValueError, match="unknown GMA engine"):
+            ExoServer(engine=engine, fabric_workers=workers)
+        assert self._leftovers() == before

@@ -1,8 +1,8 @@
-"""Differential suite: the fused engine must be bit-identical to scalar.
+"""Differential suite: the fused tier must be bit-identical to scalar.
 
-Mirrors ``test_gang_differential`` with ``engine="fused"``: every
-scenario runs on a scalar device and a fused device over fresh address
-spaces, then compares outputs, per-shred ``ShredRun`` records (including
+Mirrors ``test_gang_differential``: every scenario runs on a scalar
+device and a megaop device over fresh address spaces, then compares
+outputs, per-shred ``ShredRun`` records (including
 the ``(issue, latency)`` traces the timing model replays) and every
 aggregate counter.  The targeted scenarios aim at the fusion-specific
 seams: divergence *inside* a compiled block's loop, guarded ALU steps in
@@ -13,16 +13,13 @@ raised by a block's batched step.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.exo.shred import ShredDescriptor
 from repro.gma.device import GmaDevice
 from repro.isa.assembler import assemble
 from repro.isa.types import DataType
-from repro.kernels import ALL_KERNELS, run_kernel_on_gma
 from repro.memory.address_space import AddressSpace
 from repro.memory.surface import Surface
-from repro.perf import SMOKE_GEOMETRIES
 
 RUN_FIELDS = ("instructions", "issue_cycles", "bytes_read", "bytes_written",
               "sampler_samples", "atr_events", "ceh_events", "spawned")
@@ -32,10 +29,10 @@ AGG_FIELDS = ("shreds_executed", "instructions", "bytes_read",
 
 def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
                 prepare_surfaces: bool = True):
-    """The same launch on scalar and fused, each on a fresh device."""
+    """The same launch on scalar and megaop, each on a fresh device."""
     program = assemble(asm, name="fusion-differential")
     out = {}
-    for engine in ("scalar", "fused"):
+    for engine in GmaDevice.ENGINES:
         space = AddressSpace()
         device = GmaDevice(space, engine=engine)
         surfaces = {
@@ -51,7 +48,7 @@ def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
         downloads = {name: surf.download(space)
                      for name, surf in surfaces.items()}
         out[engine] = (result, downloads)
-    return out["scalar"], out["fused"]
+    return out["scalar"], out["megaop"]
 
 
 def assert_identical(scalar, fused):
@@ -71,30 +68,6 @@ def assert_identical(scalar, fused):
     assert set(surfaces_s) == set(surfaces_f)
     for name in surfaces_s:
         assert np.array_equal(surfaces_s[name], surfaces_f[name]), name
-
-
-# -- the whole kernel suite ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kernel_cls", ALL_KERNELS,
-                         ids=[cls.abbrev for cls in ALL_KERNELS])
-def test_kernel_bit_identical(kernel_cls):
-    kernel = kernel_cls()
-    geom = SMOKE_GEOMETRIES[kernel.abbrev]
-    outcomes = {}
-    for engine in ("scalar", "fused"):
-        device = GmaDevice(AddressSpace(), engine=engine)
-        outcomes[engine] = run_kernel_on_gma(
-            kernel, geom, device=device, space=device.space, max_frames=1)
-    scalar, fused = outcomes["scalar"], outcomes["fused"]
-    for fieldname in ("instructions", "shreds", "bytes_read",
-                      "bytes_written", "atr_events", "ceh_events",
-                      "sampler_samples", "gma_cycles"):
-        assert getattr(scalar, fieldname) == getattr(fused, fieldname), \
-            fieldname
-    for name in scalar.outputs:
-        assert np.array_equal(scalar.outputs[name], fused.outputs[name]), \
-            name
 
 
 # -- fusion-specific seams -------------------------------------------------------------
@@ -218,33 +191,3 @@ def test_spawn_boundary_stops_fusion():
     assert_identical(scalar, fused)
     assert scalar[0].spawned_shreds == 2
     assert scalar[0].shreds_executed == 6  # 4 parents + 2 children
-
-
-def test_fused_matches_gang_counters():
-    """Fused and plain gang agree on every shared engine counter (the
-    fusion counters are the only addition)."""
-    asm = """
-    iota.16.f vr1
-    mov.1.dw vr2 = 0
-    loop:
-    add.16.f vr3 = vr1, vr1
-    add.1.dw vr2 = vr2, 1
-    cmp.lt.1.dw p1 = vr2, iters
-    br p1, loop
-    end
-    """
-    program = assemble(asm, name="fused-vs-gang")
-    results = {}
-    for engine in ("gang", "fused"):
-        device = GmaDevice(AddressSpace(), engine=engine)
-        shreds = [ShredDescriptor(program=program,
-                                  bindings={"iters": 5.0})
-                  for _ in range(8)]
-        results[engine] = device.run(shreds)
-    gang, fused = results["gang"], results["fused"]
-    assert gang.instructions == fused.instructions
-    assert gang.cycles == fused.cycles
-    assert gang.gang_lanes_retired == fused.gang_lanes_retired
-    assert gang.scalar_fallbacks == fused.scalar_fallbacks
-    assert gang.fused_blocks_retired == 0 and gang.trace_chains == 0
-    assert fused.fused_blocks_retired > 0 and fused.trace_chains > 0

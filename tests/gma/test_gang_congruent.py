@@ -80,7 +80,7 @@ def _congruent_pair(space, lane):
 ])
 def test_congruent_surfaces_gang_bit_identical(asm, bindings_for):
     scalar, scalar_outs = _run("scalar", asm, _congruent_pair, bindings_for)
-    gang, gang_outs = _run("gang", asm, _congruent_pair, bindings_for)
+    gang, gang_outs = _run("megaop", asm, _congruent_pair, bindings_for)
     assert gang.instructions == scalar.instructions
     assert gang.scalar_fallbacks == 0  # congruence kept the gang engaged
     assert gang.gang_lanes_retired > 0
@@ -105,7 +105,7 @@ def test_congruent_sample_bit_identical():
         return {"SRC": src, "DST": dst}
 
     scalar, scalar_outs = _run("scalar", SAMPLE_ASM, make, bindings)
-    gang, gang_outs = _run("gang", SAMPLE_ASM, make, bindings)
+    gang, gang_outs = _run("megaop", SAMPLE_ASM, make, bindings)
     assert gang.instructions == scalar.instructions
     assert gang.scalar_fallbacks == 0
     for lane, (want, got) in enumerate(zip(scalar_outs, gang_outs)):
@@ -129,7 +129,7 @@ def test_incongruent_surfaces_fall_back():
 
     scalar, scalar_outs = _run("scalar", LD_ST_ASM, make,
                                lambda lane: {"off": 0.0})
-    gang, gang_outs = _run("gang", LD_ST_ASM, make,
+    gang, gang_outs = _run("megaop", LD_ST_ASM, make,
                            lambda lane: {"off": 0.0})
     assert gang.instructions == scalar.instructions
     for lane, (want, got) in enumerate(zip(scalar_outs, gang_outs)):
@@ -153,7 +153,7 @@ def test_mixed_tiling_falls_back():
 
     scalar, scalar_outs = _run("scalar", LD_ST_ASM, make,
                                lambda lane: {"off": 0.0})
-    gang, gang_outs = _run("gang", LD_ST_ASM, make,
+    gang, gang_outs = _run("megaop", LD_ST_ASM, make,
                            lambda lane: {"off": 0.0})
     assert gang.instructions == scalar.instructions
     for want, got in zip(scalar_outs, gang_outs):

@@ -1,8 +1,9 @@
-"""Differential suite: the gang engine must be bit-identical to scalar.
+"""Differential suite: the gang tier must be bit-identical to scalar.
 
 Every scenario runs the same program twice — once on a
-``GmaDevice(engine="scalar")``, once on ``engine="gang"`` — over fresh
-address spaces, then compares outputs, per-shred ``ShredRun`` records
+``GmaDevice(engine="scalar")``, once on ``engine="megaop"``, whose
+lockstep gang loop these scenarios aim at — over fresh address spaces,
+then compares outputs, per-shred ``ShredRun`` records
 (including the ``(issue, latency)`` traces the timing model replays) and
 every aggregate counter.  Shred ids differ numerically between the two
 runs (the global descriptor counter keeps counting), so records are
@@ -12,16 +13,13 @@ compared per queue position, never by id.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.exo.shred import ShredDescriptor
 from repro.gma.device import GmaDevice
 from repro.isa.assembler import assemble
 from repro.isa.types import DataType
-from repro.kernels import ALL_KERNELS, run_kernel_on_gma
 from repro.memory.address_space import AddressSpace
 from repro.memory.surface import Surface
-from repro.perf import SMOKE_GEOMETRIES
 
 RUN_FIELDS = ("instructions", "issue_cycles", "bytes_read", "bytes_written",
               "sampler_samples", "atr_events", "ceh_events", "spawned")
@@ -31,7 +29,7 @@ AGG_FIELDS = ("shreds_executed", "instructions", "bytes_read",
 
 def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
                 prepare_surfaces: bool = True,
-                engines=("scalar", "gang")):
+                engines=GmaDevice.ENGINES):
     """The same launch on every engine, each on a fresh device + space."""
     program = assemble(asm, name="differential")
     out = {}
@@ -71,29 +69,6 @@ def assert_identical(scalar, gang):
     assert set(surfaces_s) == set(surfaces_g)
     for name in surfaces_s:
         assert np.array_equal(surfaces_s[name], surfaces_g[name]), name
-
-
-# -- the whole kernel suite ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kernel_cls", ALL_KERNELS,
-                         ids=[cls.abbrev for cls in ALL_KERNELS])
-def test_kernel_bit_identical(kernel_cls):
-    kernel = kernel_cls()
-    geom = SMOKE_GEOMETRIES[kernel.abbrev]
-    outcomes = {}
-    for engine in ("scalar", "gang"):
-        device = GmaDevice(AddressSpace(), engine=engine)
-        outcomes[engine] = run_kernel_on_gma(
-            kernel, geom, device=device, space=device.space, max_frames=1)
-    scalar, gang = outcomes["scalar"], outcomes["gang"]
-    for fieldname in ("instructions", "shreds", "bytes_read",
-                      "bytes_written", "atr_events", "ceh_events",
-                      "sampler_samples", "gma_cycles"):
-        assert getattr(scalar, fieldname) == getattr(gang, fieldname), \
-            fieldname
-    for name in scalar.outputs:
-        assert np.array_equal(scalar.outputs[name], gang.outputs[name]), name
 
 
 # -- targeted divergence scenarios -----------------------------------------------------
@@ -226,10 +201,7 @@ def test_randomized_divergence_fuzz_all_engines():
                      "step": float(rng.integers(1, 4)),
                      "iters": float(rng.integers(1, 9))}
                     for _ in range(8)]
-        scalar, gang, fused, megaop = run_engines(
-            asm, bindings, engines=("scalar", "gang", "fused", "megaop"))
-        assert_identical(scalar, gang)
-        assert_identical(scalar, fused)
+        scalar, megaop = run_engines(asm, bindings)
         assert_identical(scalar, megaop)
 
 

@@ -158,7 +158,7 @@ def test_mid_batch_miss_peels_trailing_lanes():
     width = 2 * ELEMS_PER_PAGE
     image = _image(width, 1)
     out = {}
-    for engine in ("scalar", "gang"):
+    for engine in ("scalar", "megaop"):
         space = AddressSpace()
         device = GmaDevice(space, engine=engine)
         surfaces = {
@@ -178,7 +178,7 @@ def test_mid_batch_miss_peels_trailing_lanes():
             results.append(device.run(shreds, prepare_surfaces=False))
         out[engine] = (results, surfaces["OUT"].download(space))
     (first_s, second_s), out_s = out["scalar"]
-    (first_g, second_g), out_g = out["gang"]
+    (first_g, second_g), out_g = out["megaop"]
     assert np.array_equal(out_s, out_g)
     for result_s, result_g in ((first_s, first_g), (second_s, second_g)):
         for run_s, run_g in zip(result_s.runs, result_g.runs):
@@ -201,7 +201,7 @@ def test_tiled_surface_stays_batched():
     image = _image(width, height)
     program = assemble(COPY_ASM, name="gang-mem-tiled")
     out = {}
-    for engine in ("scalar", "gang"):
+    for engine in ("scalar", "megaop"):
         space = AddressSpace()
         device = GmaDevice(space, engine=engine)
         surf_in = Surface.alloc(space, "IN", width, height, DataType.F,
@@ -216,7 +216,7 @@ def test_tiled_surface_stays_batched():
         result = device.run(shreds)
         out[engine] = (result, surf_out.download(space))
     result_s, out_s = out["scalar"]
-    result_g, out_g = out["gang"]
+    result_g, out_g = out["megaop"]
     assert np.array_equal(out_s, out_g)
     for run_s, run_g in zip(result_s.runs, result_g.runs):
         for fieldname in RUN_FIELDS:

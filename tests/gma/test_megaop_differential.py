@@ -1,7 +1,7 @@
 """Differential suite: the megaop engine must be bit-identical to scalar.
 
-Mirrors ``test_fusion_differential`` with ``engine="megaop"`` and a low
-promotion threshold so short test loops actually promote: every scenario
+Mirrors ``test_fusion_differential`` with a low promotion threshold so
+short test loops actually promote: every scenario
 runs on a scalar device and a megaop device over fresh address spaces,
 then compares outputs, per-shred ``ShredRun`` records (including the
 ``(issue, latency)`` traces the timing model replays) and every
@@ -49,7 +49,7 @@ def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
     """The same launch on scalar and megaop, each on a fresh device."""
     program = assemble(asm, name="megaop-differential")
     out = {}
-    for engine in ("scalar", "megaop"):
+    for engine in GmaDevice.ENGINES:
         space = AddressSpace()
         device = GmaDevice(space, engine=engine)
         surfaces = {
@@ -90,13 +90,19 @@ def assert_identical(scalar, megaop):
 # -- the whole kernel suite ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("threshold",
+                         (THRESHOLD, megaop_tier.PROMOTE_THRESHOLD),
+                         ids=("low", "shipped"))
 @pytest.mark.parametrize("kernel_cls", ALL_KERNELS,
                          ids=[cls.abbrev for cls in ALL_KERNELS])
-def test_kernel_bit_identical(kernel_cls):
+def test_kernel_bit_identical(kernel_cls, threshold, monkeypatch):
+    """Every kernel, with cycles promoting early (every tier seam gets
+    crossed) and at the shipped threshold (what users run)."""
+    monkeypatch.setattr(megaop_tier, "PROMOTE_THRESHOLD", threshold)
     kernel = kernel_cls()
     geom = SMOKE_GEOMETRIES[kernel.abbrev]
     outcomes = {}
-    for engine in ("scalar", "megaop"):
+    for engine in GmaDevice.ENGINES:
         device = GmaDevice(AddressSpace(), engine=engine)
         outcomes[engine] = run_kernel_on_gma(
             kernel, geom, device=device, space=device.space, max_frames=1)
@@ -320,38 +326,6 @@ def test_promotion_threshold_knob(monkeypatch):
     assert cold.megaops_retired == 0
     assert hot.instructions == cold.instructions
     assert hot.cycles == cold.cycles
-
-
-def test_megaop_matches_fused_counters():
-    """Megaop and fused agree on every shared counter (the megaop
-    counters are the only addition) and on all architectural state."""
-    asm = """
-    iota.16.f vr1
-    mov.1.dw vr2 = 0
-    loop:
-    add.16.f vr3 = vr1, vr1
-    add.1.dw vr2 = vr2, 1
-    cmp.lt.1.dw p1 = vr2, iters
-    br p1, loop
-    end
-    """
-    program = assemble(asm, name="megaop-vs-fused")
-    results = {}
-    for engine in ("fused", "megaop"):
-        device = GmaDevice(AddressSpace(), engine=engine)
-        shreds = [ShredDescriptor(program=program,
-                                  bindings={"iters": 25.0})
-                  for _ in range(8)]
-        results[engine] = device.run(shreds)
-    fused, megaop = results["fused"], results["megaop"]
-    assert fused.instructions == megaop.instructions
-    assert fused.cycles == megaop.cycles
-    assert fused.gang_lanes_retired == megaop.gang_lanes_retired
-    assert fused.scalar_fallbacks == megaop.scalar_fallbacks
-    assert fused.megaops_retired == 0 and fused.megaop_compiles == 0
-    assert megaop.megaops_retired > 0 and megaop.megaop_compiles == 1
-    for run_f, run_m in zip(fused.runs, megaop.runs):
-        assert run_f.trace == run_m.trace
 
 
 def test_promotion_survives_across_runs_and_evicts_with_program():

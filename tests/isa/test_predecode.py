@@ -116,7 +116,7 @@ def test_process_cache_used_by_execution():
 
     program = _program("iota.16.f vr1\nend\n")
     predecode.CACHE.clear()
-    device = GmaDevice(AddressSpace(), engine="gang")
+    device = GmaDevice(AddressSpace(), engine="megaop")
     shreds = [ShredDescriptor(program=program, bindings={})
               for _ in range(4)]
     first = device.run(shreds)

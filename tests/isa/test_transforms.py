@@ -29,7 +29,7 @@ from repro.memory.address_space import AddressSpace
 from repro.memory.surface import Surface
 from repro.perf import BENCH_GEOMETRIES, SMOKE_GEOMETRIES
 
-ENGINES = ("scalar", "gang", "fused", "megaop")
+ENGINES = GmaDevice.ENGINES
 
 #: Specs that exercise every primitive (unroll, reorder, stage_mem);
 #: a spec that does not apply to a kernel is a documented no-op, which
@@ -126,8 +126,8 @@ def test_kernel_auto_schedule_verified(kernel_cls):
 @pytest.mark.parametrize("kernel_cls", [ALL_KERNELS[7], ALL_KERNELS[8]],
                          ids=["BOB", "ADVDI"])
 def test_scheduled_kernel_bit_identical_across_engines(kernel_cls, engine):
-    """The tuner's pick flows into the gang/fused/megaop tiers unchanged
-    and stays bit-identical to the scheduled scalar run."""
+    """The tuner's pick flows into the megaop engine unchanged and stays
+    bit-identical to the scheduled scalar run."""
     kernel = kernel_cls()
     geom = SMOKE_GEOMETRIES[kernel.abbrev]
     outcomes = {}

@@ -34,7 +34,7 @@ RUN_FIELDS = ("instructions", "issue_cycles", "bytes_read",
 
 async def _serve_kernel(abbrev: str, coalesce: bool, seed: int = 7):
     """Returns (results, outputs) for LANES seeded requests."""
-    async with ExoServer(num_devices=1, engine="gang") as server:
+    async with ExoServer(num_devices=1, engine="megaop") as server:
         session = server.open_session(
             "t", SessionQuotas(max_inflight=LANES,
                                max_surfaces=8 * LANES,
@@ -98,7 +98,7 @@ def test_coalesced_bit_identical_to_solo(abbrev):
 def test_coalescing_respects_program_identity():
     """Launches of *different* kernels from one session never merge."""
     async def scenario():
-        async with ExoServer(num_devices=1, engine="gang") as server:
+        async with ExoServer(num_devices=1, engine="megaop") as server:
             session = server.open_session(
                 "t", SessionQuotas(max_inflight=8, max_surfaces=64,
                                    max_surface_bytes=64 << 20))
@@ -195,7 +195,7 @@ def test_coalesced_nested_spawns_attribute_per_request():
     four riders must get back exactly its own three-generation lineage,
     with the spawned work landing on the spawning request's ledger."""
     async def scenario():
-        async with ExoServer(num_devices=1, engine="gang") as server:
+        async with ExoServer(num_devices=1, engine="megaop") as server:
             session = server.open_session(
                 "t", SessionQuotas(max_inflight=8, max_surfaces=16,
                                    max_surface_bytes=64 << 20,
@@ -291,7 +291,7 @@ def test_coalesced_gang_survives_request_divergence():
     iters = [40.0] * 6 + [12.0] * 2
 
     async def scenario(coalesce):
-        async with ExoServer(num_devices=1, engine="gang") as server:
+        async with ExoServer(num_devices=1, engine="megaop") as server:
             session = server.open_session(
                 "t", SessionQuotas(max_inflight=8, max_surfaces=8,
                                    max_surface_bytes=1 << 20,

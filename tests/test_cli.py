@@ -85,6 +85,17 @@ class TestChirun:
         assert "gang_residency=" in engine_lines[0]
         assert "[chirun] predecode_cache " in err
 
+    def test_serve_honours_scalar_engine(self, capsys):
+        assert chirun(["--serve", "--engine", "scalar", "--stats"]) == 0
+        err = capsys.readouterr().err
+        assert "[chirun] engine=scalar " in err
+
+    @pytest.mark.parametrize("engine", ["gang", "fused"])
+    def test_retired_engine_names_rejected(self, source, engine):
+        with pytest.raises(SystemExit) as exc:
+            chirun([str(source), "--engine", engine])
+        assert exc.value.code == 2
+
     def test_fatbin_without_host_source(self, tmp_path, capsys):
         from repro.chi.fatbinary import FatBinary
 
