@@ -11,10 +11,16 @@ Three claims to hold the subsystem to:
   kernel;
 * the **cross-process fabric** (``--fabric-workers``) escapes the GIL:
   on a host with >= 4 usable cores, draining one region over 4 worker
-  processes beats the in-process serial drain by >= 1.6x wall-clock.
-  On fewer cores genuine parallel speedup is physically unavailable, so
-  the gate degrades to an *overhead* bound: the shared-memory + pipe
-  tax may cost at most ~2x (speedup >= 0.5x).
+  processes beats the in-process serial drain by >= 1.6x wall-clock;
+  on 2-3 cores, 2 workers beat it by >= 1.1x.  On one core genuine
+  parallel speedup is physically unavailable, so the gate degrades to
+  an *overhead* bound: the shared-memory + pipe tax may cost at most
+  ~2x (speedup >= 0.5x at 4 workers, on every host below 4 cores).
+  The region runs the ``scalar`` engine: all of its cost is
+  interpretation, which is what the workers take off the one GIL, and
+  at the default load it outweighs worker start-up and payload pickling
+  (the ``megaop`` engine retires this loop too fast for that).  Each
+  configuration is timed as the best of three interleaved rounds.
 
 Run standalone::
 
@@ -22,7 +28,8 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_fabric.py --check   # CI gate
 
 or under pytest (``pytest benchmarks/bench_fabric.py``).  Writes
-``BENCH_fabric.json`` (``--json`` to move); a ``--check`` run writes
+``BENCH_fabric.json`` (``--json`` to move), headed by the host it ran
+on (cores, Python, numpy, engine, commit); a ``--check`` run writes
 only to an explicit ``--json`` path, so gating never rewrites the
 committed row.
 """
@@ -30,11 +37,16 @@ committed row.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.chi import ChiRuntime, ExoPlatform
@@ -114,10 +126,13 @@ def test_work_stealing_tracks_dynamic_partition(suite):
 # -- cross-process fabric scaling -------------------------------------------
 
 CHECK_PROCESS_SPEEDUP = 1.6   # 4 process workers vs serial, >= 4 cores
-CHECK_PROCESS_OVERHEAD = 0.5  # single-core floor: IPC tax bounded to ~2x
+CHECK_TWO_CORE_SPEEDUP = 1.1   # 2 process workers vs serial, 2-3 cores
+CHECK_PROCESS_OVERHEAD = 0.5  # below 4 cores: IPC tax bounded to ~2x
 PROCESS_WORKERS = (1, 2, 4)
 PROCESS_SHREDS = 64
 PROCESS_ITERS = 600
+PROCESS_ENGINE = "scalar"
+PROCESS_ROUNDS = 3
 
 
 def _usable_cores() -> int:
@@ -141,26 +156,58 @@ loop:
 
 
 def _region_wall(fabric_workers: int, shreds: int, iters: int) -> float:
-    platform = ExoPlatform(num_gma_devices=4, fabric_workers=fabric_workers)
+    fabric = ExoPlatform(num_gma_devices=4, fabric_workers=fabric_workers,
+                         gma_engine=PROCESS_ENGINE)
     try:
-        rt = ChiRuntime(platform)
+        rt = ChiRuntime(fabric)
         t0 = time.perf_counter()
         region = rt.parallel(_loop_kernel(iters), num_threads=shreds)
         wall = time.perf_counter() - t0
         assert region.result.shreds_executed == shreds
         return wall
     finally:
-        platform.close()
+        fabric.close()
+
+
+def host_provenance() -> dict:
+    """The host and source a row was measured on: ``commit`` is the
+    checkout's HEAD and ``src_sha256`` digests ``src/`` as it ran (the
+    two differ when the row is measured before its change is
+    committed)."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+            text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return {"cores": os.cpu_count(), "usable_cores": _usable_cores(),
+            "python": sys.version.split()[0], "numpy": np.__version__,
+            "machine": platform.machine(), "engine": PROCESS_ENGINE,
+            "commit": commit, "src_sha256": digest.hexdigest()[:16]}
 
 
 def measure_process_scaling(workers=PROCESS_WORKERS,
                             shreds: int = PROCESS_SHREDS,
                             iters: int = PROCESS_ITERS) -> dict:
-    """Wall-clock of one region: in-process serial vs N process workers."""
-    serial = _region_wall(0, shreds, iters)
+    """Wall-clock of one region: in-process serial vs N process workers.
+
+    Each configuration's wall is the best of :data:`PROCESS_ROUNDS`
+    rounds that run every configuration in turn, so a slow stretch of a
+    shared host slows one round of each rather than one configuration.
+    """
+    walls = {n: [] for n in (0, *workers)}
+    for _ in range(PROCESS_ROUNDS):
+        for n in walls:
+            walls[n].append(_region_wall(n, shreds, iters))
+    serial = min(walls[0])
     rows = []
     for n in workers:
-        wall = _region_wall(n, shreds, iters)
+        wall = min(walls[n])
         rows.append({
             "workers": n,
             "wall_seconds": wall,
@@ -171,6 +218,7 @@ def measure_process_scaling(workers=PROCESS_WORKERS,
         "cores": _usable_cores(),
         "shreds": shreds,
         "iters": iters,
+        "rounds": PROCESS_ROUNDS,
         "serial_wall_seconds": serial,
         "serial_throughput_sps": shreds / serial,
         "rows": rows,
@@ -210,8 +258,18 @@ def measure_worker_crash() -> dict:
         physical.close()
 
 
+def _gate(outcome: dict):
+    """(workers, bound) the scaling gate checks at the measured core
+    count."""
+    if outcome["cores"] >= 4:
+        return 4, CHECK_PROCESS_SPEEDUP
+    if outcome["cores"] >= 2:
+        return 2, CHECK_TWO_CORE_SPEEDUP
+    return 4, CHECK_PROCESS_OVERHEAD
+
+
 def report_process(outcome: dict, crash: dict) -> str:
-    gated = outcome["cores"] >= 4
+    workers, bound = _gate(outcome)
     lines = [
         f"process-fabric scaling ({outcome['shreds']} shreds x "
         f"{outcome['iters']} iterations, {outcome['cores']} usable "
@@ -225,13 +283,15 @@ def report_process(outcome: dict, crash: dict) -> str:
             f"{row['wall_seconds']:7.3f}s  "
             f"{row['throughput_sps']:7.1f} shreds/s  "
             f"{row['speedup']:5.2f}x")
-    if gated:
-        lines.append(f"  gate: >= {CHECK_PROCESS_SPEEDUP:.1f}x at "
-                     f"4 workers")
-    else:
+    if outcome["cores"] == 1:
         lines.append(
             f"  gate: single-core host, genuine speedup unavailable; "
             f"overhead bound >= {CHECK_PROCESS_OVERHEAD:.1f}x applies")
+    else:
+        lines.append(f"  gate: >= {bound:g}x at {workers} workers")
+        if outcome["cores"] < 4:
+            lines.append(f"  and the overhead bound >= "
+                         f"{CHECK_PROCESS_OVERHEAD:.1f}x at 4 workers")
     lines.append(
         "  worker-crash robustness: "
         + ("PASS" if crash["passed"] else "FAIL")
@@ -295,8 +355,9 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless 4 process workers "
                              f"reach >= {CHECK_PROCESS_SPEEDUP:.1f}x over "
-                             "the serial drain (>= 4 usable cores; "
-                             "single-core hosts gate on bounded overhead "
+                             "the serial drain (>= 4 usable cores; 2 "
+                             f"workers >= {CHECK_TWO_CORE_SPEEDUP:g}x on "
+                             "2-3 cores; below 4 cores 4 workers keep "
                              f">= {CHECK_PROCESS_OVERHEAD:.1f}x) and the "
                              "worker-crash probe passes")
     args = parser.parse_args(argv)
@@ -304,7 +365,8 @@ def main(argv=None) -> int:
     outcome = measure_process_scaling(shreds=args.shreds, iters=args.iters)
     crash = measure_worker_crash()
     print(report_process(outcome, crash))
-    payload = {"scaling": outcome, "crash": crash}
+    payload = {"host": host_provenance(), "scaling": outcome,
+               "crash": crash}
     path = args.json or (None if args.check else "BENCH_fabric.json")
     if path:
         with open(path, "w") as handle:
@@ -317,25 +379,26 @@ def main(argv=None) -> int:
         print(f"appended fabric stats to {summary_path}")
     if args.check:
         failed = False
-        at4 = next(r for r in outcome["rows"] if r["workers"] == 4)
-        if outcome["cores"] >= 4:
-            if at4["speedup"] < CHECK_PROCESS_SPEEDUP:
-                print(f"CHECK FAILED: {at4['speedup']:.2f}x at 4 workers "
-                      f"< {CHECK_PROCESS_SPEEDUP:.1f}x", file=sys.stderr)
+        speedup = {r["workers"]: r["speedup"] for r in outcome["rows"]}
+        workers, bound = _gate(outcome)
+        gates = [(workers, bound)]
+        if 2 <= outcome["cores"] < 4:
+            gates.append((4, CHECK_PROCESS_OVERHEAD))
+        for n, floor in gates:
+            if speedup[n] < floor:
+                print(f"CHECK FAILED: {speedup[n]:.2f}x at {n} workers "
+                      f"< {floor:g}x ({outcome['cores']} core(s))",
+                      file=sys.stderr)
                 failed = True
-        elif at4["speedup"] < CHECK_PROCESS_OVERHEAD:
-            print(f"CHECK FAILED: {at4['speedup']:.2f}x at 4 workers "
-                  f"< overhead floor {CHECK_PROCESS_OVERHEAD:.1f}x "
-                  f"({outcome['cores']} core(s))", file=sys.stderr)
-            failed = True
         if not crash["passed"]:
             print(f"CHECK FAILED: worker-crash probe {crash}",
                   file=sys.stderr)
             failed = True
         if failed:
             return 1
-        print(f"check passed: {at4['speedup']:.2f}x at 4 workers on "
-              f"{outcome['cores']} core(s), crash probe contained")
+        print(f"check passed: {speedup[workers]:.2f}x at {workers} "
+              f"workers on {outcome['cores']} core(s), crash probe "
+              f"contained")
     return 0
 
 

@@ -52,10 +52,6 @@ class CooperativeOutcome:
         """Time both sequencer classes were busy simultaneously."""
         return min(self.cpu_seconds, self.gma_seconds)
 
-    @property
-    def imbalance_seconds(self) -> float:
-        return abs(self.cpu_seconds - self.gma_seconds)
-
 
 def run_cooperative(runtime: ChiRuntime,
                     section: Union[int, str, Program], *,

@@ -22,7 +22,7 @@ from ..cpu.ia32 import Ia32Cpu
 from ..cpu.timing import CpuTimingConfig
 from ..errors import SchedulingError
 from ..exo.exoskeleton import Exoskeleton
-from ..fabric.device import GmaFabricDevice, Ia32FabricDevice
+from ..fabric.device import GmaFabricDevice
 from ..fabric.queue import AdmissionPolicy, DeviceWorkQueue
 from ..fabric.registry import DeviceRegistry
 from ..fabric.workers import ProcessGmaFabricDevice, ProcessWorkerPool
@@ -31,7 +31,6 @@ from ..gma.timing import GmaTimingConfig
 from ..memory.address_space import AddressSpace
 from ..memory.bandwidth import BandwidthModel
 from ..memory.cache import CoherencePoint
-from ..memory.physical import PhysicalMemory
 
 
 class HostAccessor:
@@ -73,17 +72,18 @@ class ExoPlatform:
     ``num_gma_devices`` scales the box out to an N-accelerator fabric:
     every GMA instance shares the one virtual address space, exoskeleton
     and coherence point (the shared-virtual-memory multi-accelerator
-    baseline), and registers in :attr:`fabric` alongside the IA32
-    sequencer class.  ``queue_depth`` / ``admission_policy`` configure the
+    baseline), and registers in :attr:`fabric`; the IA32 sequencer
+    (:attr:`cpu`) runs host work through its cost model, outside the
+    fabric.  ``queue_depth`` / ``admission_policy`` configure the
     per-device admission queues (see :mod:`repro.fabric.queue`);
     ``gma_engine`` selects the execution engine every GMA instance uses:
     ``"megaop"`` (the default, see :attr:`GmaDevice.ENGINES`) or the
     ``"scalar"`` reference interpreter.
 
-    ``fabric_workers=N`` moves the GMA devices out of process: physical
-    memory is rebuilt over a shared-memory segment, a
+    ``fabric_workers=N`` moves the GMA devices out of process: a
     :class:`~repro.fabric.workers.ProcessWorkerPool` of N child processes
-    attaches it, and each ``gma{i}`` registers as a
+    attaches a shared-memory frame segment (which the pool creates and
+    owns unless ``space`` brings one), and each ``gma{i}`` registers as a
     :class:`~repro.fabric.workers.ProcessGmaFabricDevice` placed
     round-robin on the pool — the scale-out configuration where N
     devices drain genuinely concurrently.  :attr:`device` stays a local
@@ -121,21 +121,14 @@ class ExoPlatform:
         #: :class:`~repro.isa.transforms.Schedule`.
         self.schedule = schedule
         self.fabric_pool: Optional[ProcessWorkerPool] = None
-        self._owns_physical = False
         if fabric_workers:
+            # the pool validates that a given space's backing is shared,
+            # and creates (and owns) a shared segment when none is given
+            self.fabric_pool = ProcessWorkerPool(
+                space.physical if space is not None else None,
+                fabric_workers, gma_config=gma_config, engine=gma_engine)
             if space is None:
-                self._owns_physical = True
-                space = AddressSpace(
-                    physical=PhysicalMemory(backing="shared"))
-            # the pool validates that the backing is actually shared
-            try:
-                self.fabric_pool = ProcessWorkerPool(
-                    space.physical, fabric_workers, gma_config=gma_config,
-                    engine=gma_engine)
-            except BaseException:
-                if self._owns_physical:
-                    space.physical.close()
-                raise
+                space = AddressSpace(physical=self.fabric_pool.physical)
         self.space = space or AddressSpace()
         self.coherence = CoherencePoint(coherent=coherent,
                                         strict=strict_coherence)
@@ -162,9 +155,6 @@ class ExoPlatform:
                 self.fabric.register(GmaFabricDevice(
                     f"gma{i}", gma,
                     queue=self._make_queue(f"gma{i}", queue_depth, policy)))
-        self.fabric.register(Ia32FabricDevice(
-            "ia32", self.cpu, queue=self._make_queue("ia32", queue_depth,
-                                                     policy)))
         if self.fabric_pool is not None:
             #: In worker mode the registered devices are out-of-process
             #: proxies; keep one *local* (unregistered) GMA so host-side
@@ -188,8 +178,8 @@ class ExoPlatform:
 
     @property
     def gma_devices(self):
-        """Shred-executing GMA backends, in registration order."""
-        return self.fabric.devices_for(GmaDevice.ISA, executing=True)
+        """The GMA device fronts, in registration order."""
+        return self.fabric.require(GmaDevice.ISA)
 
     @property
     def atr(self):
@@ -218,9 +208,6 @@ class ExoPlatform:
         if self.fabric_pool is not None:
             self.fabric_pool.close()
             self.fabric_pool = None
-        if self._owns_physical:
-            self._owns_physical = False
-            self.space.physical.close()
 
     def __enter__(self) -> "ExoPlatform":
         return self

@@ -220,13 +220,8 @@ class ChiRuntime:
         self._check_isa(target_isa)
         self._validate_feature(feature, value)
         if feature == "sampler_filter":
-            for fd in self.platform.fabric.devices_for(target_isa,
-                                                       executing=True):
-                gma = getattr(fd, "gma", None)
-                if gma is None and hasattr(fd, "driver"):
-                    gma = fd.driver.device
-                if gma is not None:
-                    gma.sampler.filter_mode = value
+            for device in self.platform.fabric.require(target_isa):
+                device.sampler_filter = value
         self._features.setdefault(target_isa, {})[feature] = value
 
     def chi_set_feature_pershred(self, target_isa: str, shred_id: int,
@@ -360,7 +355,7 @@ class ChiRuntime:
     def _launch(self, shreds: List[ShredDescriptor],
                 master_nowait: bool, target: str = "X3000") -> ParallelRegion:
         platform = self.platform
-        devices = platform.fabric.require(target, executing=True)
+        devices = platform.fabric.require(target)
         # per-shred priorities (API #5) order the work queue: "the CHI
         # runtime allows programmers to carefully orchestrate shred
         # scheduling" (section 5.1).  Stable sort keeps the locality of
@@ -428,7 +423,8 @@ class ChiRuntime:
 
     @staticmethod
     def _atr_counters(devices) -> Dict[str, Dict[str, int]]:
-        """Cumulative per-device translation counters (GMA backends)."""
+        """Cumulative per-device translation counters of the in-process
+        devices (a worker-hosted device keeps its views in its worker)."""
         out: Dict[str, Dict[str, int]] = {}
         for device in devices:
             gma = getattr(device, "gma", None)
@@ -449,9 +445,8 @@ class ChiRuntime:
 
         Dependency-connected shreds travel together (each device's work
         queue resolves ``depends_on`` locally); whole groups are balanced
-        by the work-stealing dispatcher using each backend's own cost
-        estimate, so a driver-managed device that must copy its inputs
-        bids higher than a shared-virtual-memory device for the same work.
+        by the work-stealing dispatcher using each device's own cost
+        estimate.
         """
         groups = dependency_groups(shreds)
         items = [
@@ -548,9 +543,9 @@ class ChiRuntime:
                     f"bound by private/firstprivate clauses (shred {index})")
 
     def _check_isa(self, target: str) -> None:
-        """A ``target(ISA)`` clause must resolve to at least one
-        shred-executing device in the platform's fabric."""
-        self.platform.fabric.require(target, executing=True)
+        """A ``target(ISA)`` clause must resolve to at least one device
+        in the platform's fabric."""
+        self.platform.fabric.require(target)
 
 
 @dataclass(kw_only=True)

@@ -3,9 +3,9 @@
 The paper's CHI runtime "schedules shreds on heterogeneous targets"; one
 GMA X3000 was all the prototype hardware offered, but nothing in the
 programming model limits it to a single accelerator.  This package is the
-generalization: a :class:`~repro.fabric.registry.DeviceRegistry` of
-pluggable compute backends (N GMA devices, the IA32 sequencer class, a
-legacy driver-managed GPGPU stack), per-device bounded
+generalization: a :class:`~repro.fabric.registry.DeviceRegistry` of N
+GMA devices (in process, or hosted on worker processes over one shared
+frame segment, behind the same device front), per-device bounded
 :class:`~repro.fabric.queue.DeviceWorkQueue` admission with backpressure,
 and an event-driven
 :class:`~repro.fabric.dispatcher.WorkStealingDispatcher` that plays the
@@ -14,8 +14,8 @@ sequencer completes its assigned work it requests additional work of the
 runtime" — here as stealing from the most-loaded peer's queue.
 
 The fabric is what :class:`~repro.chi.runtime.ChiRuntime` routes
-``target(ISA)`` constructs through, and what later sharding/batching work
-scales out.
+``target(ISA)`` constructs through, and its device fronts are the slots
+:class:`~repro.serving.server.ExoServer` drains.
 """
 
 from .device import (
@@ -23,8 +23,6 @@ from .device import (
     FabricDevice,
     FabricRunResult,
     GmaFabricDevice,
-    GpgpuFabricDevice,
-    Ia32FabricDevice,
 )
 from .dispatcher import (
     DispatchOutcome,
@@ -51,8 +49,6 @@ __all__ = [
     "FabricDevice",
     "FabricRunResult",
     "GmaFabricDevice",
-    "GpgpuFabricDevice",
-    "Ia32FabricDevice",
     "ProcessDeviceWorker",
     "ProcessGmaFabricDevice",
     "ProcessWorkerPool",

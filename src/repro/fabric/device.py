@@ -1,56 +1,35 @@
-"""Pluggable compute backends behind the fabric registry.
+"""The fabric's device fronts: one GMA X3000 instance each.
 
-Three device classes, mirroring the heterogeneity the paper argues for:
+:class:`FabricDevice` is the one front every layer drives, the CHI
+runtime's regions and the serving layer's slots alike: it admits a batch
+through the device's bounded queue, runs each sub-batch and builds one
+:class:`DeviceRunReport`.  Its two classes differ only in where the
+device lives:
 
-* :class:`GmaFabricDevice` — one GMA X3000 instance sharing the process's
-  virtual address space (the EXO model; N of these give an N-accelerator
-  fabric, the configuration related SVM work treats as the baseline);
-* :class:`Ia32FabricDevice` — the OS-managed IA32 sequencer class, which
-  participates in cooperative scheduling but consumes cost-model
-  :class:`~repro.cpu.ia32.CpuWork` rather than accelerator shreds;
-* :class:`GpgpuFabricDevice` — the Figure 1(a) legacy stack: the same
-  silicon driven through :class:`~repro.gpgpu.driver.GpgpuDriver`, with
-  its own address space, explicit copies and per-call kernel transitions.
-  Registering it alongside EXO devices makes the cost of the
-  loosely-coupled model directly visible inside one fabric.
+* :class:`GmaFabricDevice` — a :class:`~repro.gma.device.GmaDevice` in
+  this process, sharing the process's virtual address space (the EXO
+  model; N of these give an N-accelerator fabric, the configuration
+  related SVM work treats as the baseline);
+* :class:`~repro.fabric.workers.ProcessGmaFabricDevice` — a device
+  hosted in a fabric worker process over shared physical frames.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..cpu.ia32 import CpuExecution, CpuWork, Ia32Cpu
-from ..errors import SchedulingError
 from ..exo.shred import ShredDescriptor
 from ..gma.device import GmaDevice
 from ..gma.eu import DeviceTiming
 from ..gma.firmware import GmaRunResult, RunTotals
 from ..gma.timing import GmaTimingConfig
-from ..memory.address_space import AddressSpace
 from .queue import DeviceWorkQueue
 
 #: Static per-instruction cycle estimate used for load balancing before a
 #: shred has executed (issue plus a typical exposed-latency share).
 _EST_CYCLES_PER_INSTRUCTION = 4.0
-
-
-def estimate_gma_seconds(config: GmaTimingConfig,
-                         shreds: Sequence[ShredDescriptor]) -> float:
-    """Pre-execution cost estimate for a GMA batch.
-
-    Shared by the in-process and worker-process device fronts so dispatch
-    balancing is identical regardless of where the device lives.
-    """
-    instructions = sum(len(s.program.instructions) for s in shreds)
-    compute = (instructions * _EST_CYCLES_PER_INSTRUCTION
-               / config.num_sequencers)
-    surfaces = {id(s): s for shred in shreds
-                for s in shred.surfaces.values()}
-    traffic = sum(s.nbytes for s in surfaces.values())
-    bandwidth = traffic / config.mem_bytes_per_cycle
-    return config.seconds(max(compute, bandwidth))
 
 
 @dataclass
@@ -62,8 +41,7 @@ class DeviceRunReport:
     seconds: float  # simulated drain time, serialized over sub-batches
     shreds: int
     results: List[GmaRunResult] = field(default_factory=list)
-    config: Optional[GmaTimingConfig] = None  # None for non-GMA backends
-    copy_seconds: float = 0.0  # explicit transfer time (driver backends)
+    config: Optional[GmaTimingConfig] = None
     sub_batches: int = 1
     #: Host wall-clock seconds the drain took (measured by
     #: :func:`~repro.fabric.dispatcher.drain_devices`; 0.0 when the batch
@@ -141,30 +119,67 @@ class FabricRunResult(RunTotals):
 
 
 class FabricDevice(abc.ABC):
-    """One registered compute backend: an ISA, capacity, and a queue."""
+    """One registered GMA device: timing, capacity and an admission queue.
 
-    #: Whether the backend executes accelerator shred descriptors (the
-    #: IA32 sequencer class participates in the fabric but consumes
-    #: cost-model work instead).
-    executes_shreds: bool = True
+    Every layer drains a device through :meth:`run_shreds`, written once
+    here.  Subclasses say only how one admitted sub-batch runs
+    (:meth:`_run_batch`) and how a serving tenant's context is bound
+    (:meth:`bind_context`).  ``sampler_filter`` is the texture-sampler
+    filter ``chi_set_feature`` sets on every device of the ISA.
+    """
 
-    def __init__(self, name: str, isa: str, capacity: int,
+    isa = GmaDevice.ISA
+    #: The fabric worker hosting the device (``None`` in process);
+    #: :func:`~repro.fabric.dispatcher.drain_devices` drains devices that
+    #: all carry one concurrently.
+    worker = None
+
+    def __init__(self, name: str, config: GmaTimingConfig,
                  queue: Optional[DeviceWorkQueue] = None):
         self.name = name
-        self.isa = isa
-        self.capacity = capacity
+        self.config = config
         self.queue = queue or DeviceWorkQueue(name=name)
 
     @abc.abstractmethod
-    def estimate_seconds(self, shreds: Sequence[ShredDescriptor]) -> float:
-        """Pre-execution cost estimate for dispatch balancing."""
+    def bind_context(self, session) -> None:
+        """Switch the device onto a tenant's context (a
+        :class:`~repro.serving.session.Session`: its space, exoskeleton,
+        coherence point and per-device views).  The caller serializes
+        binds with drains."""
 
     @abc.abstractmethod
+    def _run_batch(self, batch: Sequence[ShredDescriptor]) -> GmaRunResult:
+        """Run one admitted sub-batch to completion."""
+
+    def estimate_seconds(self, shreds: Sequence[ShredDescriptor]) -> float:
+        """Pre-execution cost estimate for dispatch balancing."""
+        instructions = sum(len(s.program.instructions) for s in shreds)
+        compute = (instructions * _EST_CYCLES_PER_INSTRUCTION
+                   / self.config.num_sequencers)
+        surfaces = {id(s): s for shred in shreds
+                    for s in shred.surfaces.values()}
+        traffic = sum(s.nbytes for s in surfaces.values())
+        bandwidth = traffic / self.config.mem_bytes_per_cycle
+        return self.config.seconds(max(compute, bandwidth))
+
     def run_shreds(self, shreds: Sequence[ShredDescriptor]) -> DeviceRunReport:
         """Admit the batch through the queue and drain it."""
+        batches = self.queue.admit(shreds)
+        results = []
+        seconds = 0.0
+        for batch in batches:
+            result = self._run_batch(batch)
+            results.append(result)
+            seconds += self.config.seconds(result.cycles)
+        return DeviceRunReport(
+            device=self.name, isa=self.isa, seconds=seconds,
+            shreds=len(shreds), results=results, config=self.config,
+            sub_batches=max(len(batches), 1),
+            worker=self.worker.name if self.worker is not None else "")
 
     def describe(self) -> str:
-        return (f"{self.name}: ISA {self.isa}, capacity {self.capacity}, "
+        return (f"{self.name}: ISA {self.isa}, "
+                f"capacity {self.config.num_sequencers}, "
                 f"queue depth {self.queue.depth} "
                 f"({self.queue.policy.value})")
 
@@ -173,129 +188,24 @@ class FabricDevice(abc.ABC):
 
 
 class GmaFabricDevice(FabricDevice):
-    """One GMA X3000 instance in the shared virtual address space."""
+    """One GMA X3000 instance in this process's virtual address space."""
 
     def __init__(self, name: str, device: GmaDevice,
                  queue: Optional[DeviceWorkQueue] = None):
-        super().__init__(name, device.ISA, device.config.num_sequencers,
-                         queue=queue)
+        super().__init__(name, device.config, queue=queue)
         self.gma = device
 
     @property
-    def config(self) -> GmaTimingConfig:
-        return self.gma.config
+    def sampler_filter(self) -> str:
+        return self.gma.sampler.filter_mode
 
-    def estimate_seconds(self, shreds: Sequence[ShredDescriptor]) -> float:
-        return estimate_gma_seconds(self.gma.config, shreds)
+    @sampler_filter.setter
+    def sampler_filter(self, mode: str) -> None:
+        self.gma.sampler.filter_mode = mode
 
-    def run_shreds(self, shreds: Sequence[ShredDescriptor]) -> DeviceRunReport:
-        batches = self.queue.admit(shreds)
-        results = []
-        seconds = 0.0
-        for batch in batches:
-            result = self.gma.run(batch)
-            results.append(result)
-            seconds += self.gma.config.seconds(result.cycles)
-        return DeviceRunReport(
-            device=self.name, isa=self.isa, seconds=seconds,
-            shreds=len(shreds), results=results, config=self.gma.config,
-            sub_batches=max(len(batches), 1))
+    def bind_context(self, session) -> None:
+        self.gma.bind_context(session.space, session.exoskeleton,
+                              session.coherence, session.view_for(self))
 
-
-class Ia32FabricDevice(FabricDevice):
-    """The OS-managed sequencer class, as a fabric citizen.
-
-    It advertises timing and capacity like any device, and the dispatcher
-    schedules cost-model work onto it (the cooperative scheduling of
-    section 5.3); it cannot consume accelerator shred descriptors.
-    """
-
-    executes_shreds = False
-
-    def __init__(self, name: str, cpu: Ia32Cpu,
-                 queue: Optional[DeviceWorkQueue] = None):
-        super().__init__(name, "IA32", cpu.config.num_cores, queue=queue)
-        self.cpu = cpu
-
-    def estimate_seconds(self, shreds: Sequence[ShredDescriptor]) -> float:
-        raise SchedulingError(
-            f"device {self.name!r} is the IA32 sequencer class and cannot "
-            f"execute accelerator shreds")
-
-    def run_shreds(self, shreds: Sequence[ShredDescriptor]) -> DeviceRunReport:
-        raise SchedulingError(
-            f"device {self.name!r} is the IA32 sequencer class and cannot "
-            f"execute accelerator shreds")
-
-    def run_work(self, work: CpuWork, fraction: float = 1.0) -> CpuExecution:
-        return self.cpu.execute(work, fraction)
-
-
-class GpgpuFabricDevice(FabricDevice):
-    """The legacy driver-managed stack as a fabric backend.
-
-    Every batch pays the Figure 1(a) costs: buffers allocated in the
-    driver's private address space, explicit host->device and
-    device->host copies for each bound surface, one kernel-mode
-    transition per driver call, one synchronous launch per shred.
-    ``depends_on`` edges are satisfied trivially because launches are
-    serial and the batch arrives in dependency-respecting order.
-    """
-
-    def __init__(self, name: str, driver, host_space: AddressSpace,
-                 queue: Optional[DeviceWorkQueue] = None):
-        super().__init__(name, driver.device.ISA,
-                         driver.device.config.num_sequencers, queue=queue)
-        self.driver = driver
-        self.host_space = host_space
-        self._kernel_handles: Dict[int, int] = {}  # id(program) -> handle
-
-    def estimate_seconds(self, shreds: Sequence[ShredDescriptor]) -> float:
-        config = self.driver.device.config
-        instructions = sum(len(s.program.instructions) for s in shreds)
-        compute = config.seconds(instructions * _EST_CYCLES_PER_INSTRUCTION
-                                 / config.num_sequencers)
-        surfaces = {id(s): s for shred in shreds
-                    for s in shred.surfaces.values()}
-        traffic = sum(s.nbytes for s in surfaces.values())
-        # in and out across address spaces, plus per-call transitions
-        copies = 2 * traffic / self.driver._bandwidth.copy_rate
-        calls = (2 * len(surfaces) + len(shreds) + 2)
-        return compute + copies + calls * self.driver.call_overhead_seconds
-
-    def run_shreds(self, shreds: Sequence[ShredDescriptor]) -> DeviceRunReport:
-        batches = self.queue.admit(shreds)
-        seconds_before = self.driver.stats.total_seconds
-        copies_before = self.driver.stats.copy_seconds
-        for batch in batches:
-            self._run_batch(batch)
-        return DeviceRunReport(
-            device=self.name, isa=self.isa,
-            seconds=self.driver.stats.total_seconds - seconds_before,
-            shreds=len(shreds),
-            copy_seconds=self.driver.stats.copy_seconds - copies_before,
-            sub_batches=max(len(batches), 1))
-
-    def _run_batch(self, batch: Sequence[ShredDescriptor]) -> None:
-        surfaces = {id(s): s for shred in batch
-                    for s in shred.surfaces.values()}
-        handles = {}
-        for key, surf in surfaces.items():
-            handle = self.driver.malloc(surf.nbytes, width=surf.width,
-                                        height=surf.height, dtype=surf.dtype)
-            data = surf.read_linear(self.host_space, 0, surf.nelems)
-            self.driver.memcpy_htod(handle, data)
-            handles[key] = handle
-        for shred in batch:
-            kernel = self._kernel_handles.get(id(shred.program))
-            if kernel is None:
-                kernel = self.driver.load_program(shred.program)
-                self._kernel_handles[id(shred.program)] = kernel
-            buffers = {name: handles[id(surf)]
-                       for name, surf in shred.surfaces.items()}
-            self.driver.launch(kernel, grid=[dict(shred.bindings)],
-                               buffers=buffers)
-        for key, surf in surfaces.items():
-            data = self.driver.memcpy_dtoh(handles[key])
-            surf.write_linear(self.host_space, 0, data)
-            self.driver.free(handles[key])
+    def _run_batch(self, batch: Sequence[ShredDescriptor]) -> GmaRunResult:
+        return self.gma.run(batch)

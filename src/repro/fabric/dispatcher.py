@@ -257,8 +257,7 @@ def drain_devices(assignments):
     """
     pairs = [(device, list(shreds)) for device, shreds in assignments
              if shreds]
-    remote = all(getattr(device, "worker", None) is not None
-                 for device, _ in pairs)
+    remote = all(device.worker is not None for device, _ in pairs)
     mode = "process" if remote else "serial"
 
     def _run(pair):

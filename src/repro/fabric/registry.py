@@ -2,8 +2,7 @@
 
 The registry replaces the hardwired single-accelerator check the
 reproduction started with: ``target(ISA)`` clauses resolve here, and any
-backend advertising the requested ISA (and the ability to execute shred
-descriptors) is a scheduling candidate.
+device advertising the requested ISA is a scheduling candidate.
 """
 
 from __future__ import annotations
@@ -40,32 +39,12 @@ class DeviceRegistry:
     def names(self) -> List[str]:
         return list(self._devices)
 
-    def isas(self) -> List[str]:
-        seen = []
-        for device in self._devices.values():
-            if device.isa not in seen:
-                seen.append(device.isa)
-        return seen
-
-    def shred_targets(self) -> List[str]:
-        """ISAs for which at least one shred-executing device exists."""
-        seen = []
-        for device in self._devices.values():
-            if device.executes_shreds and device.isa not in seen:
-                seen.append(device.isa)
-        return seen
-
-    def devices_for(self, isa: str,
-                    executing: bool = False) -> List[FabricDevice]:
-        return [d for d in self._devices.values()
-                if d.isa == isa and (d.executes_shreds or not executing)]
-
-    def require(self, isa: str, executing: bool = True) -> List[FabricDevice]:
+    def require(self, isa: str) -> List[FabricDevice]:
         """The devices a ``target(isa)`` clause resolves to, or a loud
         :class:`~repro.errors.SchedulingError` naming what exists."""
-        devices = self.devices_for(isa, executing=executing)
+        devices = [d for d in self._devices.values() if d.isa == isa]
         if not devices:
-            have = self.shred_targets() if executing else self.isas()
+            have = list(dict.fromkeys(d.isa for d in self._devices.values()))
             raise SchedulingError(
                 f"no accelerator with ISA {isa!r} in the fabric "
                 f"(have {have})")

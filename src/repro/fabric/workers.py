@@ -62,11 +62,13 @@ import numpy as np
 from ..errors import FabricError, ReproError
 from ..exo.exoskeleton import Exoskeleton
 from ..gma.device import GmaDevice
+from ..gma.firmware import GmaRunResult
+from ..gma.sampler import TextureSampler
 from ..gma.timing import GmaTimingConfig
 from ..memory.address_space import AddressSpace
 from ..memory.cache import CoherencePoint
 from ..memory.physical import PAGE_SHIFT, PhysicalMemory
-from .device import DeviceRunReport, FabricDevice, estimate_gma_seconds
+from .device import DeviceRunReport, FabricDevice
 from .queue import DeviceWorkQueue
 
 #: First shred id a worker's on-device spawns may use; worker ``i`` owns
@@ -212,7 +214,8 @@ class _WorkerHost:
     # -- operations ---------------------------------------------------------
 
     def launch(self, seq: int, device_name: str, key: int,
-               shreds: List, ptes: Dict[int, int]) -> None:
+               shreds: List, ptes: Dict[int, int],
+               sampler_filter: str) -> None:
         try:
             space = self._space(key)
             for vpn, pte in ptes.items():
@@ -222,6 +225,7 @@ class _WorkerHost:
             view = self._view(key, device_name, device, space)
             device.bind_context(space, self.exoskeletons[key],
                                 self.coherences[key], view)
+            device.sampler.filter_mode = sampler_filter
             result = device.run(shreds)
             report = DeviceRunReport(
                 device=device_name, isa=device.ISA,
@@ -241,12 +245,11 @@ class _WorkerHost:
                 raise FabricError(
                     f"worker {self.config.worker!r} got a staged launch "
                     "but owns no staging segment")
-            device_name, key, shreds, ptes = pickle.loads(
-                self.staging.buf[:nbytes])
+            payload = pickle.loads(self.staging.buf[:nbytes])
         except BaseException as exc:
             self.conn.send(("error", seq, _safe_exc(exc)))
             return
-        self.launch(seq, device_name, key, shreds, ptes)
+        self.launch(seq, *payload)
 
     def shootdown(self, key: int, vpns: Sequence[int], reason: str) -> int:
         space = self.spaces.get(key)
@@ -381,16 +384,19 @@ class ProcessDeviceWorker:
     # -- operations ---------------------------------------------------------
 
     def launch(self, device_name: str, space: AddressSpace,
-               shreds: Sequence) -> DeviceRunReport:
-        """Run one batch on ``device_name`` in the worker; blocks until
-        the report arrives, servicing the batch's fault proxies inline."""
+               shreds: Sequence,
+               sampler_filter: str = TextureSampler.filter_mode,
+               ) -> DeviceRunReport:
+        """Run one batch on ``device_name`` in the worker under
+        ``sampler_filter``; blocks until the report arrives, servicing
+        the batch's fault proxies inline."""
         key = self.pool.space_key(space)
         ptes = self.pool.prepare(space, shreds)
         seq = self.pool.next_seq()
+        args = (device_name, key, list(shreds), ptes, sampler_filter)
         payload = None
         if self.staging is not None:
-            payload = pickle.dumps((device_name, key, list(shreds), ptes),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)
             if len(payload) > self.staging.size:
                 payload = None  # oversized: legacy pipe form
         with self.lock:
@@ -402,8 +408,7 @@ class ProcessDeviceWorker:
                 self._send(("launch_shm", seq, len(payload)), "launch")
                 self.staged_launches += 1
             else:
-                self._send(("launch", seq, device_name, key, list(shreds),
-                            ptes), "launch")
+                self._send(("launch", seq) + args, "launch")
                 self.piped_launches += 1
             report = self._await(seq, "launch")
         self.launches += 1
@@ -506,11 +511,13 @@ class ProcessWorkerPool:
     The pool owns the space registry (space -> small integer key shipped
     over pipes), forwards shootdown broadcasts to every worker that has
     translated for the space, and resolves workers' demand faults against
-    the authoritative parent page tables.  It does *not* own the physical
-    memory — the platform/server that created both closes them.
+    the authoritative parent page tables.  Given ``physical=None`` it
+    creates the shared frame segment itself and owns it: :meth:`close`
+    (or a failed construction) releases the segment after the workers.
+    A segment passed in stays its creator's to close.
     """
 
-    def __init__(self, physical: PhysicalMemory, num_workers: int,
+    def __init__(self, physical: Optional[PhysicalMemory], num_workers: int,
                  gma_config: Optional[GmaTimingConfig] = None,
                  engine: str = "megaop",
                  staging_bytes: int = STAGING_BYTES):
@@ -520,11 +527,12 @@ class ProcessWorkerPool:
         # a bad name must fail here, before any child or segment exists,
         # not in a worker at the first launch
         GmaDevice.check_engine(engine)
-        if physical.shm_name is None:
+        if physical is not None and physical.shm_name is None:
             raise FabricError(
                 "process fabric workers need a shared-memory-backed "
                 "PhysicalMemory (backing='shared')")
-        self.physical = physical
+        self._owns_physical = physical is None
+        self.physical = physical or PhysicalMemory(backing="shared")
         self.gma_config = gma_config or GmaTimingConfig()
         self.engine = engine
         self.closed = False
@@ -534,25 +542,32 @@ class ProcessWorkerPool:
         self._next_key = itertools.count(1)
         self._registry_lock = threading.Lock()
         self.workers = []
-        for i in range(num_workers):
-            staging = None
-            staging_name, staging_size = None, 0
-            if staging_bytes > 0:
-                from multiprocessing import shared_memory
+        try:
+            for i in range(num_workers):
+                self.workers.append(self._spawn(i, staging_bytes))
+        except BaseException:
+            self.close()
+            raise
 
-                staging = shared_memory.SharedMemory(create=True,
-                                                     size=staging_bytes)
-                staging_name, staging_size = staging.name, staging.size
-            self.workers.append(ProcessDeviceWorker(
-                self, f"worker{i}", i,
-                WorkerConfig(worker=f"worker{i}", index=i,
-                             shm_name=physical.shm_name,
-                             shm_size=physical.size,
-                             gma_config=self.gma_config,
-                             engine=engine,
-                             staging_name=staging_name,
-                             staging_size=staging_size),
-                staging=staging))
+    def _spawn(self, index: int, staging_bytes: int) -> ProcessDeviceWorker:
+        staging = None
+        staging_name, staging_size = None, 0
+        if staging_bytes > 0:
+            from multiprocessing import shared_memory
+
+            staging = shared_memory.SharedMemory(create=True,
+                                                 size=staging_bytes)
+            staging_name, staging_size = staging.name, staging.size
+        return ProcessDeviceWorker(
+            self, f"worker{index}", index,
+            WorkerConfig(worker=f"worker{index}", index=index,
+                         shm_name=self.physical.shm_name,
+                         shm_size=self.physical.size,
+                         gma_config=self.gma_config,
+                         engine=self.engine,
+                         staging_name=staging_name,
+                         staging_size=staging_size),
+            staging=staging)
 
     def next_seq(self) -> int:
         return next(self._seq)
@@ -660,6 +675,8 @@ class ProcessWorkerPool:
         self.closed = True
         for worker in self.workers:
             worker.close()
+        if self._owns_physical:
+            self.physical.close()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self
@@ -671,36 +688,26 @@ class ProcessWorkerPool:
 class ProcessGmaFabricDevice(FabricDevice):
     """A GMA device hosted in a worker process, as a fabric citizen.
 
-    Registers like :class:`~repro.fabric.device.GmaFabricDevice` and
-    reports through the same :class:`DeviceRunReport` shape; the drain
-    itself happens in the worker, so N of these on N workers actually
-    run concurrently — no GIL in common.
+    Drains through the same :meth:`~FabricDevice.run_shreds` as
+    :class:`~repro.fabric.device.GmaFabricDevice`; each sub-batch runs in
+    the worker, so N of these on N workers actually run concurrently —
+    no GIL in common.  The worker keeps one mirror space, exoskeleton
+    and view per parent space, so binding a tenant only chooses which
+    space launches name, and :attr:`sampler_filter` travels with every
+    launch.
     """
 
     def __init__(self, name: str, worker: ProcessDeviceWorker,
                  space: AddressSpace, config: GmaTimingConfig,
                  queue: Optional[DeviceWorkQueue] = None):
-        super().__init__(name, GmaDevice.ISA, config.num_sequencers,
-                         queue=queue)
+        super().__init__(name, config, queue=queue)
         self.worker = worker
         self.space = space
-        self.config = config
-        #: No in-process device behind this proxy (``None`` tells the
-        #: runtime's ATR-counter pass to skip it).
-        self.gma = None
+        self.sampler_filter = TextureSampler.filter_mode
 
-    def estimate_seconds(self, shreds: Sequence) -> float:
-        return estimate_gma_seconds(self.config, shreds)
+    def bind_context(self, session) -> None:
+        self.space = session.space
 
-    def run_shreds(self, shreds: Sequence) -> DeviceRunReport:
-        batches = self.queue.admit(shreds)
-        results: List = []
-        seconds = 0.0
-        for batch in batches:
-            report = self.worker.launch(self.name, self.space, batch)
-            results.extend(report.results)
-            seconds += report.seconds
-        return DeviceRunReport(
-            device=self.name, isa=self.isa, seconds=seconds,
-            shreds=len(shreds), results=results, config=self.config,
-            sub_batches=max(len(batches), 1), worker=self.worker.name)
+    def _run_batch(self, batch: Sequence) -> GmaRunResult:
+        return self.worker.launch(self.name, self.space, batch,
+                                  self.sampler_filter).merged_result()

@@ -109,50 +109,6 @@ class Surface:
         offset = (ys % TILE) * TILE + (xs % TILE)
         return self.base + (tile_index * TILE * TILE + offset) * self.esize
 
-    # -- batched lane access (the gang tier's path) ----------------------------
-
-    def read_elements(self, accessor, xs: np.ndarray,
-                      ys: np.ndarray) -> np.ndarray:
-        """Gather one element per (x, y) pair in a single batched read.
-
-        ``accessor`` must expose ``gather`` (both
-        :class:`~repro.memory.address_space.AddressSpace` and
-        :class:`~repro.memory.address_space.SequencerView` do).  A
-        translation miss raises before any data moves.
-        """
-        return accessor.gather(self.element_addrs(xs, ys),
-                               self.dtype.np_dtype).astype(np.float64)
-
-    def write_elements(self, accessor, xs: np.ndarray, ys: np.ndarray,
-                       values: np.ndarray) -> None:
-        """Scatter one element per (x, y) pair; duplicates resolve in
-        flattened order, last writer wins."""
-        typed = np.asarray(values).astype(self.dtype.np_dtype)
-        accessor.scatter(self.element_addrs(xs, ys), typed)
-
-    def read_linear_batch(self, accessor, indices: np.ndarray) -> np.ndarray:
-        """Batched :meth:`read_linear` over flat row-major element indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (int(indices.min()) < 0
-                             or int(indices.max()) >= self.nelems):
-            raise MemorySystemError(
-                f"linear access outside surface {self.name!r} "
-                f"of {self.nelems} elements")
-        return self.read_elements(accessor, indices % self.width,
-                                  indices // self.width)
-
-    def write_linear_batch(self, accessor, indices: np.ndarray,
-                           values: np.ndarray) -> None:
-        """Batched :meth:`write_linear` over flat row-major element indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (int(indices.min()) < 0
-                             or int(indices.max()) >= self.nelems):
-            raise MemorySystemError(
-                f"linear access outside surface {self.name!r} "
-                f"of {self.nelems} elements")
-        self.write_elements(accessor, indices % self.width,
-                            indices // self.width, values)
-
     # -- linear element access (ld/st) --------------------------------------------
 
     def read_linear(self, accessor, index: int, count: int) -> np.ndarray:

@@ -75,8 +75,8 @@ def fabric_chrome_trace_events(reports: Sequence,
     ``config``).  Thread rows are the device's hardware contexts
     (``eu * threads_per_eu + slot``); sub-batches of a blocking admission
     appear back to back, offset by their predecessors' drain cycles.
-    Backends that expose no per-shred timing (the driver-managed stack)
-    get a single span covering their drain time.
+    A report without per-shred timing (no results or no config) gets a
+    single span covering its drain time.
 
     ``device_atr`` (e.g. :attr:`repro.chi.runtime.RuntimeStats.device_atr`)
     attaches each device's translation breakdown — TLB hits/misses, GTT
@@ -227,9 +227,8 @@ def serving_trace_events(server, pid: int = SERVING_PID) -> List[dict]:
     rows = {}
     for slot in server.slots:
         rows[slot.name] = pid + len(rows)
-        # slot.engine, not slot.gma.engine: remote slots have gma=None
-        name = f"serving {slot.name} ({slot.engine})"
-        if getattr(slot, "worker", None) is not None:
+        name = f"serving {slot.name} ({server.engine})"
+        if slot.worker is not None:
             name += f" @ {slot.worker.name}"
         events.append({
             "ph": "M", "name": "process_name", "pid": rows[slot.name],

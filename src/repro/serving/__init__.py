@@ -21,8 +21,7 @@ bit-identical to solo execution.
 
 from .admission import AdmissionController
 from .coalescer import coalescable, demux
-from .server import (DeviceSlot, ExoServer, LaunchRequest, LaunchResult,
-                     ServingStats)
+from .server import ExoServer, LaunchRequest, LaunchResult, ServingStats
 from .session import Session, SessionQuotas
 from .workload import TenantWorkload
 
@@ -30,7 +29,6 @@ __all__ = [
     "AdmissionController",
     "coalescable",
     "demux",
-    "DeviceSlot",
     "ExoServer",
     "LaunchRequest",
     "LaunchResult",

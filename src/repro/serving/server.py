@@ -1,19 +1,24 @@
 """The asyncio front-end: sessions in, launch results out.
 
-``ExoServer`` owns a pool of :class:`~repro.gma.device.GmaDevice` slots
-over one shared :class:`~repro.memory.physical.PhysicalMemory`.  Clients
-open sessions, submit launches, and ``await`` results; a single
-dispatch loop matches queued work to free device slots under the
+``ExoServer`` owns a pool of GMA device slots over one shared
+:class:`~repro.memory.physical.PhysicalMemory`.  The slots are the
+fabric's device fronts (:class:`~repro.fabric.device.GmaFabricDevice`
+in process, :class:`~repro.fabric.workers.ProcessGmaFabricDevice` on
+fabric workers), drained through
+:func:`~repro.fabric.dispatcher.drain_devices` exactly as CHI regions
+are.  Clients open sessions, submit launches, and ``await`` results; a
+single dispatch loop matches queued work to free device slots under the
 admission controller's weighted fair pick, coalescing same-program
 launches into gangs (:mod:`repro.serving.coalescer`) before the drain.
 
 Threading model: all control-plane state (sessions, admission queues,
-stats) lives on the event-loop thread.  Only the device drain runs on a
-worker thread, and each slot's ``busy`` flag guarantees one drain per
-device at a time; a drain touches only that slot's device, the batch's
-session (space/exoskeleton/coherence, via ``bind_context``), and that
-session's per-slot view — so concurrent drains for *different* sessions
-on *different* devices never share mutable state except the physical
+stats) lives on the event-loop thread.  The loop binds a free slot to
+the batch's session (``bind_context``: space, exoskeleton, coherence
+and that session's per-slot view) and marks it busy; only the drain
+itself runs on an executor thread, and the busy set guarantees one
+drain per device at a time.  A drain touches only its device and the
+bound session, so concurrent drains for *different* sessions on
+*different* devices never share mutable state except the physical
 frame pool, whose allocator is only exercised from the loop thread
 (surfaces are allocated at submit time, not during drains; demand-paged
 first touches during a drain are serviced through the session's own
@@ -31,9 +36,10 @@ from typing import Dict, List, Optional, Sequence
 from ..chi.runtime import RuntimeStats
 from ..errors import AdmissionRejected, ServingError
 from ..exo.shred import ShredDescriptor
-from ..fabric.device import DeviceRunReport
+from ..fabric.device import DeviceRunReport, FabricDevice, GmaFabricDevice
+from ..fabric.dispatcher import drain_devices
 from ..fabric.queue import AdmissionPolicy, DeviceWorkQueue
-from ..fabric.workers import ProcessDeviceWorker, ProcessWorkerPool
+from ..fabric.workers import ProcessGmaFabricDevice, ProcessWorkerPool
 from ..gma.device import GmaDevice
 from ..gma.timing import GmaTimingConfig
 from ..memory.address_space import AddressSpace
@@ -95,31 +101,6 @@ class ServingStats:
     device_seconds: float = 0.0
 
 
-class DeviceSlot:
-    """One GMA device plus its admission queue and busy flag.
-
-    A slot is either *local* (``gma`` is a live in-process device) or
-    *remote* (``gma`` is ``None`` and ``worker`` is the
-    :class:`~repro.fabric.workers.ProcessDeviceWorker` hosting the
-    device); ``engine`` and ``config`` are carried explicitly so traces
-    and drains never need to reach through a device that may not be in
-    this process.
-    """
-
-    def __init__(self, name: str, gma: Optional[GmaDevice],
-                 queue: DeviceWorkQueue,
-                 worker: Optional[ProcessDeviceWorker] = None,
-                 engine: str = "megaop",
-                 config: Optional[GmaTimingConfig] = None):
-        self.name = name
-        self.gma = gma
-        self.queue = queue
-        self.worker = worker
-        self.engine = gma.engine if gma is not None else engine
-        self.config = gma.config if gma is not None else config
-        self.busy = False
-
-
 class ExoServer:
     """Async multi-tenant front-end over a pool of GMA devices."""
 
@@ -133,20 +114,23 @@ class ExoServer:
         """``fabric_workers=N`` places the device slots on N child
         processes over shared-memory physical frames (round-robin), so
         concurrent tenant drains stop contending on the GIL.  The server
-        then owns worker lifetime: :meth:`stop` reaps the pool and the
-        segment, and the server cannot be started again afterwards."""
+        then owns worker lifetime: :meth:`stop` reaps the pool (and the
+        segment the pool created), whether or not the server ever
+        started, and the server cannot be started again afterwards."""
+        config = gma_config or GmaTimingConfig()
         self.fabric_pool: Optional[ProcessWorkerPool] = None
-        self._owns_physical = False
-        if fabric_workers and physical is None:
-            physical = PhysicalMemory(backing="shared")
-            self._owns_physical = True
+        if fabric_workers:
+            # the pool creates (and owns) a shared segment unless one is
+            # given, and validates that a given one is shared
+            self.fabric_pool = ProcessWorkerPool(
+                physical, fabric_workers, gma_config=config, engine=engine)
+            physical = self.fabric_pool.physical
         self.physical = physical or PhysicalMemory()
         #: The space idle devices sit bound to between tenant drains.
         self._idle_space = AddressSpace(physical=self.physical)
         self.engine = engine
         self.policy = AdmissionPolicy.coerce(admission_policy)
         self.coalesce_window = coalesce_window
-        config = gma_config or GmaTimingConfig()
         depth = queue_depth or config.num_sequencers * 4
 
         # device queues always BLOCK: overload is absorbed by the
@@ -156,30 +140,23 @@ class ExoServer:
                                    policy=AdmissionPolicy.BLOCK,
                                    name=f"gma{i}-queue")
 
-        if fabric_workers:
-            try:
-                self.fabric_pool = ProcessWorkerPool(
-                    self.physical, fabric_workers, gma_config=config,
-                    engine=engine)
-            except BaseException:
-                if self._owns_physical:
-                    self._owns_physical = False
-                    self.physical.close()
-                raise
+        if self.fabric_pool is not None:
             self.slots = [
-                DeviceSlot(name=f"gma{i}", gma=None, queue=_queue(i),
-                           worker=self.fabric_pool.worker_for(i),
-                           engine=engine, config=config)
+                ProcessGmaFabricDevice(
+                    f"gma{i}", self.fabric_pool.worker_for(i),
+                    self._idle_space, config, queue=_queue(i))
                 for i in range(num_devices)
             ]
         else:
             self.slots = [
-                DeviceSlot(name=f"gma{i}",
-                           gma=GmaDevice(self._idle_space, config=config,
+                GmaFabricDevice(
+                    f"gma{i}", GmaDevice(self._idle_space, config=config,
                                          engine=engine),
-                           queue=_queue(i))
+                    queue=_queue(i))
                 for i in range(num_devices)
             ]
+        #: Slots with a drain in flight (one drain per device at a time).
+        self._busy: set = set()
         self.admission = AdmissionController(policy=self.policy,
                                              max_pending=max_pending)
         self.sessions: Dict[str, Session] = {}
@@ -207,20 +184,18 @@ class ExoServer:
         return self
 
     async def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        self._wakeup.set()
-        await self._dispatcher
-        if self._inflight_batches:
-            await asyncio.gather(*self._inflight_batches,
-                                 return_exceptions=True)
+        """Finish in-flight batches and reap the fabric workers (also for
+        a server that never started)."""
+        if self._running:
+            self._running = False
+            self._wakeup.set()
+            await self._dispatcher
+            if self._inflight_batches:
+                await asyncio.gather(*self._inflight_batches,
+                                     return_exceptions=True)
         if self.fabric_pool is not None:
             self.fabric_pool.close()
             self.fabric_pool = None
-        if self._owns_physical:
-            self._owns_physical = False
-            self.physical.close()
 
     async def __aenter__(self) -> "ExoServer":
         return await self.start()
@@ -258,7 +233,8 @@ class ExoServer:
 
         Either pass prebuilt ``shreds`` or let the server build one
         descriptor per entry of ``bindings`` against ``surfaces``.
-        Raises :class:`~repro.errors.QuotaExceeded` when the launch would
+        Raises :class:`~repro.errors.ServingError` for a launch with no
+        shreds, :class:`~repro.errors.QuotaExceeded` when the launch would
         blow the session's descriptor quota (always an error), and
         :class:`~repro.errors.AdmissionRejected` with ``retry_after``
         when the server is overloaded under the RAISE policy; under
@@ -273,6 +249,10 @@ class ExoServer:
             ]
         else:
             shreds = list(shreds)
+        if not shreds:
+            raise ServingError(
+                f"session {session.name!r}: a launch needs at least one "
+                f"shred")
         session.charge_descriptors(len(shreds))
         try:
             while True:
@@ -324,7 +304,7 @@ class ExoServer:
     def _pump(self) -> None:
         """Assign queued work to free device slots (loop thread only)."""
         for slot in self.slots:
-            if slot.busy:
+            if slot in self._busy:
                 continue
             name = self.admission.pick()
             if name is None:
@@ -332,26 +312,26 @@ class ExoServer:
             requests = self.admission.pop_batch(
                 name, self.coalesce_window, coalescable=coalescable)
             session = requests[0].session
-            # remote slots keep their views worker-side, per (space,
-            # device); only local devices need a parent-side view
-            view = session.view_for(slot) if slot.gma is not None else None
-            slot.busy = True
+            # bind here, not in the drain: an idle slot runs nothing, and
+            # a session's views register with its space on this thread
+            slot.bind_context(session)
+            self._busy.add(slot)
             task = asyncio.create_task(
-                self._run_batch(slot, session, view, requests))
+                self._run_batch(slot, session, requests))
             self._inflight_batches.add(task)
             task.add_done_callback(self._inflight_batches.discard)
 
-    async def _run_batch(self, slot: DeviceSlot, session: Session,
-                         view, requests: List[LaunchRequest]) -> None:
+    async def _run_batch(self, slot: FabricDevice, session: Session,
+                         requests: List[LaunchRequest]) -> None:
         loop = asyncio.get_running_loop()
         try:
             report = await loop.run_in_executor(
-                None, self._drain, slot, session, view, requests)
+                None, self._drain, slot, requests)
         except Exception as exc:
             for request in requests:
                 if not request.future.done():
                     request.future.set_exception(exc)
-            slot.busy = False
+            self._busy.discard(slot)
             self._wakeup.set()
             return
         merged = report.merged_result()
@@ -403,48 +383,15 @@ class ExoServer:
             if not request.future.done():
                 request.future.set_result(result)
         self.admission.note_service(len(requests), report.wall_seconds)
-        slot.busy = False
+        self._busy.discard(slot)
         self._wakeup.set()
 
-    def _drain(self, slot: DeviceSlot, session: Session, view,
+    @staticmethod
+    def _drain(slot: FabricDevice,
                requests: List[LaunchRequest]) -> DeviceRunReport:
-        """Worker thread: context-switch the device and run the batch.
-
-        For a remote slot the context switch happens inside the worker
-        process (it keeps one mirror space + view per tenant); this
-        thread just feeds the pipe and blocks for the report.
-        """
+        """Executor thread: run the batch on its bound slot."""
         shreds = [shred for request in requests for shred in request.shreds]
-        t0 = time.perf_counter()
-        if slot.worker is not None:
-            batches = slot.queue.admit(shreds)
-            results = []
-            seconds = 0.0
-            for batch in batches:
-                part = slot.worker.launch(slot.name, session.space, batch)
-                results.extend(part.results)
-                seconds += part.seconds
-            report = DeviceRunReport(
-                device=slot.name, isa=GmaDevice.ISA, seconds=seconds,
-                shreds=len(shreds), results=results, config=slot.config,
-                sub_batches=max(len(batches), 1), worker=slot.worker.name)
-            report.wall_seconds = time.perf_counter() - t0
-            return report
-        slot.gma.bind_context(session.space, session.exoskeleton,
-                              session.coherence, view)
-        batches = slot.queue.admit(shreds)
-        results = []
-        seconds = 0.0
-        for batch in batches:
-            result = slot.gma.run(batch)
-            results.append(result)
-            seconds += slot.gma.config.seconds(result.cycles)
-        report = DeviceRunReport(
-            device=slot.name, isa=slot.gma.ISA, seconds=seconds,
-            shreds=len(shreds), results=results, config=slot.gma.config,
-            sub_batches=max(len(batches), 1))
-        report.wall_seconds = time.perf_counter() - t0
-        return report
+        return drain_devices([(slot, shreds)])[0]
 
     # -- reporting ----------------------------------------------------------
 

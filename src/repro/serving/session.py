@@ -111,7 +111,8 @@ class Session:
     # -- device views (the shootdown domain) -------------------------------
 
     def view_for(self, slot) -> SequencerView:
-        """This session's sequencer view of device ``slot``.
+        """This session's sequencer view of in-process device ``slot``
+        (a :class:`~repro.fabric.device.GmaFabricDevice`).
 
         Created on the event-loop thread (registration with the space is
         not thread safe); the drain worker only *uses* the view.

@@ -36,8 +36,8 @@ class TestAssembly:
 
 class TestFabricAssembly:
     def test_default_fabric_contents(self, platform):
-        assert platform.fabric.names() == ["gma0", "ia32"]
-        assert platform.fabric.shred_targets() == ["X3000"]
+        assert platform.fabric.names() == ["gma0"]
+        assert platform.fabric.require("X3000") == platform.gma_devices
         assert platform.device is platform.fabric.get("gma0").gma
 
     def test_n_accelerator_fabric_shares_the_address_space(self):

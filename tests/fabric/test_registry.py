@@ -1,9 +1,7 @@
-"""The device registry and the pluggable compute backends behind it."""
+"""The device registry and the GMA device fronts behind it."""
 
-import numpy as np
 import pytest
 
-from repro.cpu.ia32 import Ia32Cpu
 from repro.errors import SchedulingError
 from repro.fabric import (
     AdmissionPolicy,
@@ -11,24 +9,11 @@ from repro.fabric import (
     DeviceWorkQueue,
     FabricRunResult,
     GmaFabricDevice,
-    GpgpuFabricDevice,
-    Ia32FabricDevice,
 )
 from repro.gma.device import GmaDevice
-from repro.gpgpu import GpgpuDriver
 from repro.isa.assembler import assemble
-from repro.isa.types import DataType
 from repro.exo.shred import ShredDescriptor
 from repro.memory.address_space import AddressSpace
-from repro.memory.surface import Surface
-
-DOUBLE = """
-    shl.1.dw vr1 = i, 3
-    ld.8.dw [vr2..vr9] = (A, vr1, 0)
-    add.8.dw [vr10..vr17] = [vr2..vr9], [vr2..vr9]
-    st.8.dw (C, vr1, 0) = [vr10..vr17]
-    end
-"""
 
 
 def gma_fabric_device(name="gma0", queue=None):
@@ -58,28 +43,18 @@ class TestRegistry:
         with pytest.raises(SchedulingError, match="no device named"):
             DeviceRegistry().get("gma7")
 
-    def test_isas_vs_shred_targets(self):
-        registry = DeviceRegistry([
-            gma_fabric_device("gma0"),
-            Ia32FabricDevice("ia32", Ia32Cpu()),
-        ])
-        assert registry.isas() == ["X3000", "IA32"]
-        # the IA32 sequencer class is in the fabric but cannot consume
-        # accelerator shred descriptors
-        assert registry.shred_targets() == ["X3000"]
-
-    def test_require_filters_by_execution(self):
+    def test_require_filters_by_isa(self):
         registry = DeviceRegistry([
             gma_fabric_device("gma0"),
             gma_fabric_device("gma1"),
-            Ia32FabricDevice("ia32", Ia32Cpu()),
         ])
         devices = registry.require("X3000")
         assert [d.name for d in devices] == ["gma0", "gma1"]
-        with pytest.raises(SchedulingError, match="no accelerator"):
-            registry.require("IA32")  # executing=True is the default
-        assert [d.name for d in registry.require("IA32", executing=False)] \
-            == ["ia32"]
+        # the IA32 sequencer runs host work outside the fabric
+        with pytest.raises(SchedulingError,
+                           match=r"no accelerator with ISA 'IA32' .*"
+                                 r"\(have \['X3000'\]\)"):
+            registry.require("IA32")
 
     def test_require_unknown_isa_names_what_exists(self):
         registry = DeviceRegistry([gma_fabric_device("gma0")])
@@ -90,11 +65,11 @@ class TestRegistry:
     def test_describe_lists_every_device(self):
         registry = DeviceRegistry([
             gma_fabric_device("gma0"),
-            Ia32FabricDevice("ia32", Ia32Cpu()),
+            gma_fabric_device("gma1"),
         ])
         text = registry.describe()
-        assert "gma0" in text and "ia32" in text
-        assert "ISA X3000" in text and "ISA IA32" in text
+        assert "gma0" in text and "gma1" in text
+        assert text.count("ISA X3000") == 2
 
 
 class TestGmaBackend:
@@ -137,62 +112,6 @@ class TestGmaBackend:
             queue=DeviceWorkQueue(depth=2, name="gma0"))
         with pytest.raises(SchedulingError, match="overflow on 'gma0'"):
             device.run_shreds(make_shreds(5))
-
-
-class TestIa32Backend:
-    def test_cannot_execute_shreds(self):
-        device = Ia32FabricDevice("ia32", Ia32Cpu())
-        assert device.executes_shreds is False
-        with pytest.raises(SchedulingError, match="cannot"):
-            device.estimate_seconds(make_shreds(1))
-        with pytest.raises(SchedulingError, match="cannot"):
-            device.run_shreds(make_shreds(1))
-
-    def test_runs_cost_model_work(self):
-        from repro.cpu.ia32 import CpuWork
-
-        device = Ia32FabricDevice("ia32", Ia32Cpu())
-        work = CpuWork(pixels=1024, cycles_per_pixel=8.0, bytes_touched=4096)
-        execution = device.run_work(work, fraction=0.5)
-        assert execution.seconds > 0
-
-
-class TestGpgpuBackend:
-    def test_end_to_end_through_the_driver(self):
-        host_space = AddressSpace()
-        device = GpgpuFabricDevice("legacy", GpgpuDriver(), host_space)
-        assert device.isa == "X3000"
-
-        n = 16
-        program = assemble(DOUBLE, name="double")
-        surf = Surface.alloc(host_space, "A", n, 1, DataType.DW)
-        out = Surface.alloc(host_space, "C", n, 1, DataType.DW)
-        surf.write_linear(host_space, 0, np.arange(float(n)))
-        shreds = [ShredDescriptor(program=program, bindings={"i": i},
-                                  surfaces={"A": surf, "C": out})
-                  for i in range(n // 8)]
-        report = device.run_shreds(shreds)
-        # results came back to the *host* surface despite the separate
-        # driver address space...
-        got = out.read_linear(host_space, 0, n)
-        assert np.array_equal(got, np.arange(n) * 2.0)
-        # ...and the Figure 1(a) costs are on the bill
-        assert report.copy_seconds > 0
-        assert report.seconds > report.copy_seconds
-        assert report.config is None  # no per-shred timing exposed
-
-    def test_estimate_includes_copies_and_call_overhead(self):
-        host_space = AddressSpace()
-        legacy = GpgpuFabricDevice("legacy", GpgpuDriver(), host_space)
-        exo = gma_fabric_device()
-        n = 256
-        program = assemble(DOUBLE, name="double")
-        surf = Surface.alloc(host_space, "A", n, 1, DataType.DW)
-        shreds = [ShredDescriptor(program=program, bindings={"i": i},
-                                  surfaces={"A": surf})
-                  for i in range(4)]
-        # the same silicon costs strictly more behind the driver wall
-        assert legacy.estimate_seconds(shreds) > exo.estimate_seconds(shreds)
 
 
 class TestFabricRunResult:

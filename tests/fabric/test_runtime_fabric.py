@@ -1,15 +1,26 @@
 """ChiRuntime routing parallel constructs through the device fabric."""
 
+import numpy as np
 import pytest
 
 from repro.chi import ChiRuntime, ExoPlatform
 from repro.errors import SchedulingError
 from repro.fabric import AdmissionPolicy, FabricRunResult
 from repro.gma.firmware import GmaRunResult
+from repro.isa.types import DataType
+from repro.memory.surface import Surface
 
 KERNEL = """
     mul.1.dw vr1 = tid, 3
     add.1.dw vr2 = vr1, 1
+    end
+"""
+
+SAMPLE = """
+    mov.4.f vr1 = 0.5
+    mov.4.f vr2 = 0.5
+    sample.4.f vr3 = (T, vr1, vr2)
+    st.4.f (O, 0, 0) = vr3
     end
 """
 
@@ -129,6 +140,29 @@ class TestFeatureFanOut:
         rt.chi_set_feature("X3000", "sampler_filter", "nearest")
         for device in rt.platform.gma_devices:
             assert device.gma.sampler.filter_mode == "nearest"
+
+    @pytest.mark.parametrize("mode, texel", [("bilinear", 100.0),
+                                              ("nearest", 200.0)])
+    def test_sampler_filter_reaches_worker_hosted_devices(self, mode, texel):
+        """One sampling region reads the same, bit for bit, in process
+        and on a fabric worker: the filter travels with each launch."""
+        def sample(**platform_kwargs):
+            with ExoPlatform(**platform_kwargs) as platform:
+                rt = ChiRuntime(platform)
+                tex = Surface.alloc(platform.space, "T", 4, 4, DataType.UB)
+                out = Surface.alloc(platform.space, "O", 4, 1, DataType.F)
+                tex.upload(platform.host,
+                           np.array([[0, 100], [200, 60]] * 2,
+                                    dtype=float).repeat(2, axis=1))
+                rt.chi_set_feature("X3000", "sampler_filter", mode)
+                rt.parallel(SAMPLE, shared={"T": tex, "O": out},
+                            num_threads=1)
+                return out.download(platform.host)
+
+        local = sample()
+        remote = sample(fabric_workers=1)
+        assert local[0, 0] == texel
+        np.testing.assert_array_equal(remote, local)
 
     def test_priority_orders_multi_device_dispatch(self):
         rt = runtime(num_gma_devices=2)

@@ -124,6 +124,20 @@ def test_closed_session_refuses_work():
     asyncio.run(scenario())
 
 
+def test_empty_launch_rejected():
+    """A launch with no shreds has nothing to drain; it fails at submit
+    and leaves no descriptors charged."""
+    async def scenario():
+        async with _server() as server:
+            session = server.open_session("t")
+            from repro.isa.assembler import assemble
+            program = assemble("end", name="nop")
+            with pytest.raises(ServingError, match="at least one shred"):
+                await server.submit(session, program, shreds=[])
+            assert session.descriptors_inflight == 0
+    asyncio.run(scenario())
+
+
 def test_duplicate_session_name_rejected():
     server = _server()
     server.open_session("t")
