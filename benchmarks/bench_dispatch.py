@@ -5,7 +5,7 @@ much *host* work each instruction costs before numpy does the lane
 math.  The scalar interpreter pays a full decode-dispatch-account round
 per instruction per shred.  The megaop engine pays one batched round
 per instruction for the whole gang, one round per *block* once a
-straight-line region is fused (``docs/ENGINE.md``), and one round per
+straight-line region is compiled (``docs/ENGINE.md``), and one round per
 *hot-loop traversal* once the trace cycle has been promoted.
 
 This benchmark isolates that overhead by timing a pure-ALU counted loop

@@ -3,8 +3,8 @@
 A launch whose shreds share one program runs as a *gang*: one
 numpy-batched register file with a shred axis, each predecoded
 instruction applied to every active shred in one vectorized operation;
-straight-line regions retire as fused superblocks and hot block cycles
-as promoted megaops (see ``docs/ENGINE.md``).  Results, traces and
+basic blocks and promoted hot cycles retire as compiled traces (see
+``docs/ENGINE.md``).  Results, traces and
 counters are bit-identical to the scalar interpreter — only the host
 wall-clock changes.  This benchmark measures that change four ways:
 
@@ -30,8 +30,9 @@ Run standalone::
 
 or under pytest (``pytest benchmarks/bench_engine.py``).  Writes
 ``BENCH_engine.json`` next to the working directory (``--json`` to
-move); a ``--check`` run writes only to an explicit ``--json`` path, so
-gating never rewrites the committed row.
+move), headed by the host it ran on (cores, Python, numpy, engine,
+commit); a ``--check`` run writes only to an explicit ``--json`` path,
+so gating never rewrites the committed row.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ import json
 import os
 import sys
 import time
+
+from provenance import host_provenance
 
 from repro.exo.shred import ShredDescriptor
 from repro.gma.device import GmaDevice
@@ -495,7 +498,8 @@ def main(argv=None) -> int:
     path = args.json or (None if args.check else "BENCH_engine.json")
     if path:
         with open(path, "w") as handle:
-            json.dump(outcome, handle, indent=2)
+            json.dump({"host": host_provenance("megaop"), **outcome},
+                      handle, indent=2)
         print(f"wrote {path}")
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:

@@ -37,17 +37,13 @@ committed row.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
+from provenance import host_provenance, usable_cores
 
 from repro.chi import ChiRuntime, ExoPlatform
 from repro.errors import FabricError
@@ -135,13 +131,6 @@ PROCESS_ENGINE = "scalar"
 PROCESS_ROUNDS = 3
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _loop_kernel(iters: int) -> str:
     """Compute-heavy and memory-free: all cost is interpreter cycles, so
     wall-clock measures drain concurrency, not shared-frame bandwidth."""
@@ -169,28 +158,6 @@ def _region_wall(fabric_workers: int, shreds: int, iters: int) -> float:
         fabric.close()
 
 
-def host_provenance() -> dict:
-    """The host and source a row was measured on: ``commit`` is the
-    checkout's HEAD and ``src_sha256`` digests ``src/`` as it ran (the
-    two differ when the row is measured before its change is
-    committed)."""
-    root = Path(__file__).resolve().parent.parent
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
-            text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = None
-    digest = hashlib.sha256()
-    for path in sorted((root / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
-    return {"cores": os.cpu_count(), "usable_cores": _usable_cores(),
-            "python": sys.version.split()[0], "numpy": np.__version__,
-            "machine": platform.machine(), "engine": PROCESS_ENGINE,
-            "commit": commit, "src_sha256": digest.hexdigest()[:16]}
-
-
 def measure_process_scaling(workers=PROCESS_WORKERS,
                             shreds: int = PROCESS_SHREDS,
                             iters: int = PROCESS_ITERS) -> dict:
@@ -215,7 +182,7 @@ def measure_process_scaling(workers=PROCESS_WORKERS,
             "speedup": serial / wall,
         })
     return {
-        "cores": _usable_cores(),
+        "cores": usable_cores(),
         "shreds": shreds,
         "iters": iters,
         "rounds": PROCESS_ROUNDS,
@@ -365,7 +332,7 @@ def main(argv=None) -> int:
     outcome = measure_process_scaling(shreds=args.shreds, iters=args.iters)
     crash = measure_worker_crash()
     print(report_process(outcome, crash))
-    payload = {"host": host_provenance(), "scaling": outcome,
+    payload = {"host": host_provenance(PROCESS_ENGINE), "scaling": outcome,
                "crash": crash}
     path = args.json or (None if args.check else "BENCH_fabric.json")
     if path:

@@ -87,9 +87,9 @@ def chirun(argv=None) -> int:
     parser_.add_argument("--engine", choices=GmaDevice.ENGINES,
                          default="megaop",
                          help="GMA execution engine: megaop (lockstep "
-                              "gangs with fused and promoted tiers, the "
-                              "default) or the scalar reference "
-                              "interpreter")
+                              "gangs with compiled blocks and promoted "
+                              "cycles, the default) or the scalar "
+                              "reference interpreter")
     parser_.add_argument("--schedule", default=None, metavar="SPEC",
                          help="schedule transform applied to every "
                               "parallel region's program: 'auto' tunes "

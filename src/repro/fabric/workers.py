@@ -169,7 +169,7 @@ class _WorkerHost:
         self.devices: Dict[str, GmaDevice] = {}
         self.views: Dict[Tuple[int, str], object] = {}
         # (name, source, len) -> Program: stable identity across launches
-        # keeps the predecode/fusion caches hot in this process
+        # keeps the predecode cache and its traces hot in this process
         self.programs: Dict[tuple, object] = {}
 
     # -- contexts -----------------------------------------------------------

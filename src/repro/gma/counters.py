@@ -1,7 +1,7 @@
 """The engine counter record: one definition for every layer.
 
-Each execution tier (gang, fused, megaop) and the predecode cache count
-what they did into an :class:`EngineCounters`.  The gang outcome, the
+The gang loop, its compiled blocks and cycles, and the predecode cache
+count what they did into an :class:`EngineCounters`.  The gang outcome, the
 device run result, the kernel harness total, the fabric aggregate and
 the runtime's lifetime stats all *are* this record (they inherit it), so
 a counter is declared once here, merged by :meth:`EngineCounters.add`

@@ -34,11 +34,12 @@ class GmaDevice:
     #: instruction at a time: the reference semantics every faster path
     #: is tested against.  "megaop" (the default) runs same-program
     #: launches in lockstep on one numpy register file (see
-    #: :mod:`repro.gma.gang`), retires straight-line regions as fused
-    #: superblocks (:mod:`repro.gma.fusion`) and promotes hot block
-    #: cycles to whole-traversal megaops (:mod:`repro.gma.megaop`); each
-    #: tier falls back to the one below it, and anything none can batch
-    #: exactly peels to the scalar interpreter.
+    #: :mod:`repro.gma.gang`) and retires compiled traces
+    #: (:mod:`repro.gma.megaop`): basic blocks chained through uniform
+    #: branches, and promoted hot cycles a whole traversal at a time.
+    #: A trace hands back to the per-instruction gang loop at the
+    #: precise ip, and anything the gang cannot batch exactly peels to
+    #: the scalar interpreter.
     ENGINES = ("scalar", "megaop")
 
     def __init__(self, space: AddressSpace,

@@ -6,8 +6,8 @@ lockstep: one numpy register file with a leading *shred axis* —
 ``V[shred, vreg, lane]`` / ``P[shred, preg, lane]`` — so each decoded
 instruction applies to all active shreds in a single vectorized
 operation instead of N scalar trips through ``semantics.execute``.
-This module is that engine's base tier and owns the gang: the fused
-(:mod:`repro.gma.fusion`) and megaop (:mod:`repro.gma.megaop`) tiers
+This module is that engine's base tier and owns the gang: the compiled
+traces of :mod:`repro.gma.megaop` (basic blocks and promoted cycles)
 run on its register file and hand control back to its per-instruction
 loop at the precise ip whenever they cannot retire an instruction.
 
@@ -257,13 +257,10 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
              live_contexts: Dict[int, ShredContext]) -> GangOutcome:
     """Execute a homogeneous batch in lockstep; returns runs in order.
 
-    Three tiers share the gang, each falling back to the next at the
-    precise ip: hot block cycles promoted to compiled megaops
-    (:mod:`repro.gma.megaop`) retire whole trace traversals per
-    dispatch; straight-line regions retire as compiled superblocks with
-    uniform-branch trace chaining (:mod:`repro.gma.fusion`); and this
-    per-instruction loop owns everything else, peeling what it cannot
-    batch to the scalar interpreter.
+    Compiled traces (:mod:`repro.gma.megaop`) retire whole basic
+    blocks, chained through uniform branches, and whole traversals of
+    promoted hot cycles; this per-instruction loop owns every ip they
+    hand back, peeling what it cannot batch to the scalar interpreter.
     """
     program = shreds[0].program
     pre_prog = predecode.lookup(program)
@@ -434,17 +431,14 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
         pairs = [(j, ip) for j in sorted(faulted + trailing)]
         return survivors, pairs
 
-    # deferred imports: the fused and megaop tiers reuse this module's
-    # batched datapaths
-    from .fusion import get_fused, run_fused
-    from .megaop import MegaSession, run_megaop
-    fused, compiled = get_fused(program, pre_prog)
-    outcome.fusion_compiles += compiled
-    mega = MegaSession(program, pre_prog, fused, outcome)
-    recorder = mega.recorder
     # per-run symbol memo: bindings are frozen at spawn, so each shred's
     # symbol resolves once per run instead of once per read
     symcache: Dict[str, tuple] = {}
+    # deferred import: the compiled traces reuse this module's batched
+    # datapaths
+    from .megaop import TraceRun
+    tracer = TraceRun(device, program, pre_prog, ctxs, recs, outcome,
+                      symcache)
 
     try:
         while True:
@@ -477,11 +471,10 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 if active:
                     adopt(active, parked_origin=False,
                           mixed=frame.mixed or frame.sources > 1)
-                    # the merged gang is a fresh trace head: let the
-                    # recorder profile (and the megaop tier promote) from
-                    # the join instead of deopting for the rest of the
-                    # launch
-                    recorder.reset()
+                    # the merged gang is a fresh trace head: profile
+                    # (and promote) from the join instead of deopting
+                    # for the rest of the launch
+                    tracer.reset()
             if not active:
                 break
             if repack_pending:
@@ -502,34 +495,17 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 defer([(i, ip) for i in active])
                 active = []
                 continue
-            mop = mega.ops.get(ip)
-            if mop is not None and not (frames
-                                        and frames[-1].join in mop.ips):
-                # (a megaop whose trace crosses the pending join must not
-                # dispatch: it would blast through the suspension point —
-                # the fused tier below stops there precisely)
-                stepped = run_megaop(mop, device, active, gV, gP, ctxs,
-                                     recs, config, outcome, symcache, grows,
-                                     diverge)
-                if stepped is not None:
-                    # the recorder window is stale across a megaop (its
-                    # traversals are not noted one by one)
-                    recorder.reset()
-                    ip, active = stepped
-                    continue
-            fused_to = run_fused(fused, ip, active, gV, gP, ctxs, recs,
-                                 config, outcome, finish_one, symcache,
-                                 recorder, grows, diverge,
-                                 frames[-1].join if frames else None)
-            if fused_to is not None:
-                ip, active = fused_to
+            traced = tracer.run(ip, active, gV, gP, grows, finish_one,
+                                diverge, frames[-1].join if frames else None)
+            if traced is not None:
+                ip, active = traced
                 continue
             pre = pre_prog.instrs[ip]
             cls = pre.batch_class
             if cls != predecode.BATCH_MEM:
                 # only batched memory retirements extend a recorded
                 # trace; any other per-instruction handling breaks it
-                recorder.reset()
+                tracer.reset()
 
             if cls == predecode.BATCH_CONTROL:
                 op = pre.opcode
@@ -603,12 +579,12 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 except ExecutionFault:
                     ok = False
                 if ok:
-                    recorder.note(ip, "m")
+                    tracer.note(ip, "m")
                     ip += 1
                     continue
                 # fall through to the per-shred reference step
 
-            recorder.reset()
+            tracer.reset()
             # scalar semantics write through the lane views into the
             # root arrays, so a pack syncs out first and refreshes the
             # survivors' rows afterwards
@@ -924,8 +900,8 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
     writeback, so the abandoned attempt is side-effect free.
 
     ``account=False`` commits the data-path effects but skips the
-    per-shred accounting — the megaop tier charges retired instructions
-    in bulk from its precomputed trace entries instead.
+    per-shred accounting — a compiled trace charges retired
+    instructions in bulk from its precomputed entries instead.
     """
     instr = pre.instr
     op = pre.opcode

@@ -56,8 +56,8 @@ class ShredRun:
 def trace_entry(instr) -> Tuple[int, int]:
     """The (issue, latency) trace entry one retired instruction adds.
 
-    Static per instruction, so the fusion compiler
-    (:mod:`repro.gma.fusion`) precomputes whole blocks of entries at
+    Static per instruction, so the trace compiler
+    (:mod:`repro.gma.megaop`) precomputes whole traces of entries at
     compile time with the exact formulas the scalar path charges.
     """
     info = instr.info

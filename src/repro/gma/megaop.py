@@ -1,49 +1,61 @@
-"""Tiered JIT: hot fused-trace cycles promoted to native numpy megaops.
+"""Compiled traces: the megaop engine's block and cycle tiers.
 
-The fused tier (:mod:`repro.gma.fusion`) retires whole superblocks in
-one dispatch round and *chains* through uniform branches, but every
-chained block still pays one Python trip per block — and every batched
-ALU step inside it pays the generic operand decode, guard-mask build and
-per-dtype overflow protocol.  This module adds the third tier: when the
-chain counters identify a *hot cycle* (the same block-to-block path
-traversed over and over, the shape of every counted loop), the whole
-cycle compiles into one :class:`MegaOp` — a flat sequence of specialized
-step closures with the operand slices, wrapped immediates and timing
-charges precomputed — and execution retires *many complete traversals
-per Python call*, charging the accounting in one bulk extend at exit.
+The gang loop (:mod:`repro.gma.gang`) batches *lanes* per instruction
+but still pays one Python dispatch round — batch-class switch,
+guard-mask build, one ``account_instruction`` call per shred — for
+every instruction.  This module amortizes that round with one trace
+compiler and two trace shapes:
 
-Promotion is profile guided: a :class:`TraceRecorder` rides along with
-the fused tier, noting each block exit (uniform-taken ``"t"``,
-uniform-fall ``"f"``, fall-through ``"x"``) and each batched memory
-retirement (``"m"``).  When the note stream revisits an ip, the window
-between the two visits is a cycle; after :data:`PROMOTE_THRESHOLD`
-recorded traversals of the *same* cycle it compiles.  Compiled megaops
-live in the id-keyed :class:`~repro.isa.predecode.PredecodeCache` beside
-the fused entry and are evicted with it.
+* a **block** — one basic block of
+  :func:`repro.isa.blocks.discover_blocks`, compiled once per program
+  and retired in one dispatch, *chaining* through its terminating
+  branch whenever the branch resolves identically across every active
+  lane (the common case for counted loops);
+* a **cycle** — a hot loop: its blocks' items concatenated with a back
+  edge, promoted after :data:`PROMOTE_THRESHOLD` recorded traversals
+  and retired many whole traversals per Python call.
 
-**Determinism.**  A megaop never invents a new result: every specialized
+Both compile to the same :class:`Trace`: per-instruction items that
+:func:`_emit_steps` turns into specialized step closures (operand
+slices, wrapped immediates and the per-dtype writeback precomputed),
+plus prefix-summed charges, so any retired prefix costs one
+``list.extend`` per shred.  A block compiles from an empty wrap map; a
+cycle compiles twice, once for its first traversal and once for the
+steady state, where registers the previous traversal wrote are known
+wrapped and reads skip the idempotent re-wrap.
+
+Promotion is profile guided: each run's :class:`TraceRun` notes every
+uniform block exit (taken ``"t"``, fall ``"f"``, fall-through ``"x"``)
+and every batched memory retirement (``"m"``).  When the note stream
+revisits an ip, the window between the two visits is a cycle.  Traces
+live in the id-keyed :class:`~repro.isa.predecode.PredecodeCache` slot
+of their program and are evicted with it.
+
+**Determinism.**  A trace never invents a new result: every specialized
 step reproduces ``_apply_alu_batched``'s arithmetic exactly (same
 float64 compute on wrapped sources, same float32 narrowing, same modular
 integer wrap), memory steps *are* ``_apply_mem_batched`` with only the
-accounting deferred, and the bulk charge concatenates exactly the
+accounting deferred, and the charge concatenates exactly the
 per-instruction ``(issue, latency)`` entries the scalar engine would
-append.  Any guard failure — a divergent branch, a lane that would
-overflow or fault, a TLB miss, the runaway cap — charges only the
-instructions already retired and returns control at the precise ip, so
-the fused/per-instruction/peel tiers reproduce the architectural
-behaviour bit-identically.  The only deliberate conservatism: a
-specialized float step deopts on *any* inf in the narrowed result (the
-generic path then distinguishes pass-through infs from true overflow).
+append.  A specialized step that cannot prove its result — an ``f``
+inf, which may be a pass-through or an overflow, or a zero divisor —
+writes nothing, and the executor hands that instruction to
+``_apply_alu_batched`` in place.  Only when that fails too, or on a
+divergent branch, a memory step that cannot batch, or the runaway cap,
+does the trace stop: it charges only the instructions already retired
+and returns control at the precise ip to the per-instruction loop,
+whose per-shred reference step reproduces the architectural behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ExecutionFault, TlbMiss
 from ..isa import cfg, predecode
+from ..isa.blocks import discover_blocks
 from ..isa.opcodes import Opcode
 from ..isa.operands import ImmOperand, PredOperand, RegOperand, SymOperand
 from ..isa.semantics import _COMPARES
@@ -67,190 +79,122 @@ _MEM = 1
 _BR = 2
 
 
-class MegaEnv:
-    """Per-call context threaded through specialized step closures."""
+class Trace:
+    """One compiled trace: a basic block, or a promoted cycle.
 
-    __slots__ = ("rows", "active", "ctxs", "symcache", "syms")
+    ``items`` are ``(kind, pre, ip, expect)`` per instruction, ``kind``
+    one of ``"alu"``, ``"mem"``, ``"pad"`` (no datapath: charge only)
+    and ``"br"`` (``expect`` is the on-trace direction in a cycle, None
+    in a block, where either uniform direction leaves).  A block pass
+    that retires every step leaves at ``exit`` by ``tag``: ``"x"`` (the
+    fall-through past a boundary), ``"t"`` (an unconditional jump) or
+    ``"end"``.  ``loop_steps`` is a cycle's steady-state step list,
+    None for a block.  ``issue``/``mem``/``sampler``/``sbytes`` are
+    prefix sums over the items.
+    """
+
+    __slots__ = ("head", "items", "steps", "loop_steps", "exit", "tag",
+                 "ninstr", "entries", "effects", "nones", "issue", "mem",
+                 "sampler", "sbytes", "ips")
 
 
-class MegaOp:
-    """One compiled hot cycle: steps plus pre-summed accounting."""
+class ProgramTraces:
+    """Every trace of one program: its predecode-cache slot.
 
-    __slots__ = ("head", "ninstr", "steps_entry", "steps_loop",
-                 "trace_entries", "effects", "nones", "issue_total",
-                 "issue_prefix", "mem_total", "mem_prefix",
-                 "sampler_total", "sampler_prefix", "sbytes_total",
-                 "sbytes_prefix", "ips")
-
-
-class MegaCache:
-    """Per-program promotion state, persistent across runs.
-
-    Lives in the :class:`~repro.isa.predecode.PredecodeCache` beside the
-    fused entry.  Mutated without a lock: concurrent fabric drains can at
-    worst double-count a cycle or compile the same megaop twice, and
+    Construction compiles every basic block; cycles compile as they
+    promote.  Mutated without a lock: concurrent fabric drains can at
+    worst double-count a cycle or compile the same cycle twice, and
     both compiles are identical, so last-store-wins is benign.
     """
 
-    __slots__ = ("counts", "ops", "dead")
+    __slots__ = ("pre_prog", "blocks", "cycles", "counts", "dead")
 
-    def __init__(self):
-        #: (head ip, cycle) -> traversals recorded so far.
+    def __init__(self, program, pre_prog):
+        self.pre_prog = pre_prog
+        #: leader ip -> compiled block.
+        self.blocks: Dict[int, Trace] = {}
+        for start, block in discover_blocks(pre_prog,
+                                            program.labels).items():
+            items, exit_ip, tag = _block_items(block, pre_prog)
+            trace = self.blocks[start] = _compile(items, start)
+            trace.exit, trace.tag = exit_ip, tag
+        #: head ip -> promoted cycle (probed every gang-loop iteration).
+        self.cycles: Dict[int, Trace] = {}
+        #: (head ip, recorded cycle) -> traversals recorded so far.
         self.counts: Dict[tuple, int] = {}
-        #: head ip -> compiled MegaOp (probed every gang-loop iteration).
-        self.ops: Dict[int, MegaOp] = {}
-        #: cycles that failed to compile; never retried.
+        #: recorded cycles that failed to compile; never retried.
         self.dead: set = set()
 
-
-class TraceRecorder:
-    """Sliding window of block/mem exits; closes cycles on ip revisit."""
-
-    __slots__ = ("session", "steps", "pos")
-
-    def __init__(self, session: "MegaSession"):
-        self.session = session
-        self.steps: List[Tuple[int, str]] = []
-        self.pos: Dict[int, int] = {}
-
-    def reset(self) -> None:
-        """Anything irregular (divergence, fault, peel, END) breaks the
-        trace: the window restarts empty."""
-        if self.steps:
-            self.steps.clear()
-            self.pos.clear()
-
-    def note(self, ip: int, tag: str) -> None:
-        """Record one event; a revisited ip closes the cycle since its
-        previous visit and restarts the window at this occurrence."""
-        p = self.pos.get(ip)
-        steps = self.steps
-        if p is None:
-            if len(steps) >= MAX_CYCLE_STEPS:
-                steps.clear()
-                self.pos.clear()
-            self.pos[ip] = len(steps)
-            steps.append((ip, tag))
-            return
-        cycle = tuple(steps[p:])
-        steps.clear()
-        self.pos.clear()
-        self.pos[ip] = 0
-        steps.append((ip, tag))
-        self.session.observe(ip, cycle)
-
-    def promoted(self, ip: int) -> bool:
-        """True when ``ip`` heads a compiled megaop — the fused loop
-        yields control there so the gang loop can dispatch it."""
-        return ip in self.session.ops
-
-
-class MegaSession:
-    """One run's view of the program's persistent promotion state."""
-
-    __slots__ = ("cache", "ops", "fused", "pre_prog", "outcome",
-                 "recorder")
-
-    def __init__(self, program, pre_prog, fused, outcome):
-        cache = predecode.CACHE.lookup_megaops(program)
-        if cache is None:
-            cache = MegaCache()
-            predecode.CACHE.store_megaops(program, cache)
-        self.cache = cache
-        self.ops = cache.ops
-        self.fused = fused
-        self.pre_prog = pre_prog
-        self.outcome = outcome
-        self.recorder = TraceRecorder(self)
-
-    def observe(self, head: int, cycle: tuple) -> None:
-        cache = self.cache
-        if head in cache.ops:
-            return
-        key = (head, cycle)
-        if key in cache.dead:
-            return
-        count = cache.counts.get(key, 0) + 1
-        if count < PROMOTE_THRESHOLD:
-            cache.counts[key] = count
-            return
-        cache.counts.pop(key, None)
-        mop = compile_megaop(head, cycle, self.fused, self.pre_prog)
-        if mop is None:
-            cache.dead.add(key)
-            return
-        cache.ops[head] = mop
-        self.outcome.megaop_compiles += 1
-
 # ---------------------------------------------------------------------------
-# cycle compiler
+# trace compiler
 # ---------------------------------------------------------------------------
 
 
-def _cycle_items(head: int, cycle: tuple, fused, pre_prog):
-    """Flatten a recorded cycle into per-instruction items, validating
-    the control-flow continuity the recording implies.
+def _block_items(block, pre_prog) -> Tuple[list, Optional[int],
+                                           Optional[str]]:
+    """A basic block's items, plus the exit ip and tag of a pass that
+    retires all of them."""
+    instrs = pre_prog.instrs
+    items = [("alu" if instrs[ip].batch_class == predecode.BATCH_ALU
+              else "pad", instrs[ip], ip, None)
+             for ip in range(block.start, block.start + block.body_len)]
+    if block.term is None:
+        return items, block.end, "x"
+    term = instrs[block.term]
+    if term.opcode is Opcode.END:
+        items.append(("pad", term, block.term, None))
+        return items, block.end, "end"
+    if term.opcode is Opcode.JMP and term.instr.pred is None:
+        # unconditional: a static edge, charged but never evaluated
+        items.append(("pad", term, block.term, None))
+        return items, term.target, "t"
+    items.append(("br", term, block.term, None))
+    return items, None, None
 
-    Items: ``("alu", pre, ip)`` / ``("mem", pre, ip)`` /
-    ``("pad", instr, ip)`` (nop/fence/unconditional jmp: charge only) /
-    ``("br", pidx, negate, expect, taken_ip, fall_ip, instr, ip)``.
-    Returns None when the cycle cannot compile (the caller marks it
-    dead, so a bogus recording is at worst a lost promotion).
-    """
+
+def _cycle_items(head: int, cycle: tuple, blocks: Dict[int, Trace],
+                 pre_prog) -> Optional[list]:
+    """Concatenate a recorded cycle's block and memory items, fixing
+    each branch's on-trace direction and validating the control-flow
+    continuity the recording implies.  Returns None when the cycle
+    cannot compile (the caller marks it dead, so a bogus recording is
+    at worst a lost promotion)."""
     items: list = []
     count = len(pre_prog.instrs)
     for ci, (ip, tag) in enumerate(cycle):
         nxt = cycle[ci + 1][0] if ci + 1 < len(cycle) else head
         if tag == "m":
-            if not 0 <= ip < count:
+            if not 0 <= ip < count or ip + 1 != nxt:
                 return None
             pre = pre_prog.instrs[ip]
             if pre.batch_class != predecode.BATCH_MEM:
                 return None
-            if ip + 1 != nxt:
-                return None
-            items.append(("mem", pre, ip))
+            items.append(("mem", pre, ip, None))
             continue
-        block = fused.blocks.get(ip)
-        if block is None:
+        block = blocks.get(ip)
+        if block is None or block.tag == "end":
             return None
-        for j in range(block.body_len):
-            bip = block.start + j
-            stp = block.steps[j]
-            if stp is not None:
-                items.append(("alu", stp, bip))
-            else:
-                items.append(("pad", pre_prog.instrs[bip].instr, bip))
-        if tag == "x":
-            if block.term is not None or block.end != nxt:
+        if block.tag is not None:  # fall-through or unconditional jump
+            if block.tag != tag or block.exit != nxt:
                 return None
+            items.extend(block.items)
             continue
         if tag not in ("t", "f"):
             return None
-        term = block.term
-        if term is None or term.opcode is Opcode.END:
-            return None
-        pred = term.instr.pred
-        if term.opcode is Opcode.JMP and pred is None:
-            # unconditional: a static edge, charged but never evaluated
-            if tag != "t" or term.target != nxt:
-                return None
-            items.append(("pad", term.instr, block.term_ip))
-            continue
-        taken_ip, fall_ip = term.target, block.end
+        _, term, term_ip, _ = block.items[-1]
         expect = tag == "t"
-        if (taken_ip if expect else fall_ip) != nxt:
+        if (term.target if expect else term_ip + 1) != nxt:
             return None
-        items.append(("br", pred.index, pred.negate, expect, taken_ip,
-                      fall_ip, term.instr, block.term_ip))
+        items.extend(block.items[:-1])
+        items.append(("br", term, term_ip, expect))
     if not items or len(items) > MAX_CYCLE_INSTRS:
         return None
     return items
 
 
 #: Value opcodes the specializer compiles natively.  Everything else
-#: (SEL/ILV, guarded steps, range operands) falls back to the generic
-#: batched datapath, which is still one call per instruction.
+#: (SEL/ILV, guarded steps, range operands) runs the generic batched
+#: datapath, which is still one call per instruction.
 _BINOPS = {
     Opcode.ADD: lambda a, b: a + b,
     Opcode.SUB: lambda a, b: a - b,
@@ -261,7 +205,7 @@ _BINOPS = {
 
 
 def _make_reader(operand, ty: DataType, n: int, known: dict):
-    """A closure ``read(V, sl, env) -> (k, n) float64``, reproducing
+    """A closure ``read(V, sl, run) -> (k, n) float64``, reproducing
     ``ty.wrap_unguarded(_read_batched(operand, ...))`` exactly.
 
     ``known`` maps reg -> (dtype, width) for registers whose current
@@ -275,33 +219,35 @@ def _make_reader(operand, ty: DataType, n: int, known: dict):
         have = known.get(reg)
         if ty is DataType.DF or (have is not None and have[0] is ty
                                  and have[1] >= n):
-            def read(V, sl, env, reg=reg, n=n):
+            def read(V, sl, run, reg=reg, n=n):
                 return V[sl, reg, :n]
             return read
         wu = ty.wrap_unguarded
 
-        def read(V, sl, env, reg=reg, n=n, wu=wu):
+        def read(V, sl, run, reg=reg, n=n, wu=wu):
             return wu(V[sl, reg, :n])
         return read
     if isinstance(operand, ImmOperand):
         const = ty.wrap(np.full((1, n), operand.value, dtype=np.float64))
 
-        def read(V, sl, env, const=const):
+        def read(V, sl, run, const=const):
             return const
         return read
     if isinstance(operand, SymOperand):
-        name = operand.name
+        # the wrapped read depends on the dtype and width, not only on
+        # the symbol: memoize per (name, dtype, width)
+        key = (operand.name, ty, n)
         wu = ty.wrap_unguarded
 
-        def read(V, sl, env, operand=operand, name=name, n=n, wu=wu):
-            cached = env.syms.get(name)
+        def read(V, sl, run, operand=operand, key=key, n=n, wu=wu):
+            cached = run.syms.get(key)
             if cached is None:
                 # resolved through the run's symcache in queue order, so
                 # an unbound symbol faults on the shred scalar blames
-                cached = wu(_read_batched(operand, env.rows, n, V, None,
-                                          env.ctxs, env.active,
-                                          env.symcache))
-                env.syms[name] = cached
+                cached = wu(_read_batched(operand, run.rows, n, V, None,
+                                          run.ctxs, run.active,
+                                          run.symcache))
+                run.syms[key] = cached
             return cached
         return read
     return None
@@ -309,14 +255,15 @@ def _make_reader(operand, ty: DataType, n: int, known: dict):
 
 def _make_writer(dst, ty: DataType, n: int):
     """A closure ``write(V, sl, res) -> bool`` matching the generic
-    writeback: float32 narrowing with conservative inf deopt for ``f``,
+    writeback: float32 narrowing for ``f`` (any inf writes nothing and
+    answers False: the generic path tells pass-through from overflow),
     pass-through for ``df``, modular wrap for integers."""
     dreg = dst.reg
     if ty is DataType.F:
         def write(V, sl, res, dreg=dreg, n=n):
             out = res.astype(np.float32)
             if np.isinf(out).any():
-                return False  # overflow OR pass-through: generic decides
+                return False
             V[sl, dreg, :n] = out
             return True
         return write
@@ -337,7 +284,7 @@ def _compile_alu_step(pre, known: dict):
     """Specialize one BATCH_ALU instruction against the current
     known-wrapped register map.
 
-    Returns ``(step, update)``: ``step(V, P, sl, env) -> bool`` or None
+    Returns ``(step, update)``: ``step(V, P, sl, run) -> bool`` or None
     when the instruction must run through the generic datapath;
     ``update`` is ``(reg, dtype, width)`` for the register the step
     leaves wrapped, or None.
@@ -361,8 +308,8 @@ def _compile_alu_step(pre, known: dict):
         idx = dst.index
         w = min(n, VLEN)
 
-        def step(V, P, sl, env, ra=ra, rb=rb, cmp=cmp, idx=idx, w=w):
-            res = cmp(ra(V, sl, env), rb(V, sl, env))
+        def step(V, P, sl, run, ra=ra, rb=rb, cmp=cmp, idx=idx, w=w):
+            res = cmp(ra(V, sl, run), rb(V, sl, run))
             P[sl, idx, :w] = res[:, :w]
             P[sl, idx, w:] = False
             return True
@@ -379,12 +326,12 @@ def _compile_alu_step(pre, known: dict):
         write = _make_writer(dst, ty, 1)
 
         if op is Opcode.HADD:
-            def step(V, P, sl, env, ra=ra, write=write):
-                return write(V, sl, ra(V, sl, env).sum(axis=1,
+            def step(V, P, sl, run, ra=ra, write=write):
+                return write(V, sl, ra(V, sl, run).sum(axis=1,
                                                        keepdims=True))
         else:
-            def step(V, P, sl, env, ra=ra, write=write):
-                return write(V, sl, ra(V, sl, env).max(axis=1,
+            def step(V, P, sl, run, ra=ra, write=write):
+                return write(V, sl, ra(V, sl, run).max(axis=1,
                                                        keepdims=True))
         return step, (dst.reg, ty, 1)
 
@@ -395,7 +342,7 @@ def _compile_alu_step(pre, known: dict):
         # 0..n-1 is exact under every dtype's wrap (n <= VLEN < 127)
         const = ty.wrap(np.arange(n, dtype=np.float64))[None, :]
 
-        def step(V, P, sl, env, dreg=dst.reg, n=n, const=const):
+        def step(V, P, sl, run, dreg=dst.reg, n=n, const=const):
             V[sl, dreg, :n] = const
             return True
         return step, update
@@ -407,30 +354,30 @@ def _compile_alu_step(pre, known: dict):
     if op in (Opcode.MOV, Opcode.CVT):
         ra = readers[0]
 
-        def step(V, P, sl, env, ra=ra, write=write):
-            return write(V, sl, ra(V, sl, env))
+        def step(V, P, sl, run, ra=ra, write=write):
+            return write(V, sl, ra(V, sl, run))
         return step, update
 
     if op is Opcode.BCAST:
         ra = readers[0]
 
-        def step(V, P, sl, env, ra=ra, write=write):
-            return write(V, sl, ra(V, sl, env)[:, :1])
+        def step(V, P, sl, run, ra=ra, write=write):
+            return write(V, sl, ra(V, sl, run)[:, :1])
         return step, update
 
     if op is Opcode.ABS:
         ra = readers[0]
 
-        def step(V, P, sl, env, ra=ra, write=write):
-            return write(V, sl, np.abs(ra(V, sl, env)))
+        def step(V, P, sl, run, ra=ra, write=write):
+            return write(V, sl, np.abs(ra(V, sl, run)))
         return step, update
 
     if op is Opcode.NOT:
         ra = readers[0]
         maskval = (1 << (ty.size * 8)) - 1
 
-        def step(V, P, sl, env, ra=ra, write=write, maskval=maskval):
-            res = np.bitwise_xor(ra(V, sl, env).astype(np.int64),
+        def step(V, P, sl, run, ra=ra, write=write, maskval=maskval):
+            res = np.bitwise_xor(ra(V, sl, run).astype(np.int64),
                                  maskval).astype(np.float64)
             return write(V, sl, res)
         return step, update
@@ -438,9 +385,9 @@ def _compile_alu_step(pre, known: dict):
     if op is Opcode.MAD:
         ra, rb, rc = readers
 
-        def step(V, P, sl, env, ra=ra, rb=rb, rc=rc, write=write):
-            return write(V, sl, ra(V, sl, env) * rb(V, sl, env)
-                         + rc(V, sl, env))
+        def step(V, P, sl, run, ra=ra, rb=rb, rc=rc, write=write):
+            return write(V, sl, ra(V, sl, run) * rb(V, sl, run)
+                         + rc(V, sl, run))
         return step, update
 
     if len(readers) != 2:
@@ -449,44 +396,44 @@ def _compile_alu_step(pre, known: dict):
 
     binop = _BINOPS.get(op)
     if binop is not None:
-        def step(V, P, sl, env, ra=ra, rb=rb, binop=binop, write=write):
-            return write(V, sl, binop(ra(V, sl, env), rb(V, sl, env)))
+        def step(V, P, sl, run, ra=ra, rb=rb, binop=binop, write=write):
+            return write(V, sl, binop(ra(V, sl, run), rb(V, sl, run)))
         return step, update
 
     if op is Opcode.AVG:
         if ty.is_float:
-            def step(V, P, sl, env, ra=ra, rb=rb, write=write):
+            def step(V, P, sl, run, ra=ra, rb=rb, write=write):
                 return write(V, sl,
-                             (ra(V, sl, env) + rb(V, sl, env)) / 2.0)
+                             (ra(V, sl, run) + rb(V, sl, run)) / 2.0)
         else:
-            def step(V, P, sl, env, ra=ra, rb=rb, write=write):
+            def step(V, P, sl, run, ra=ra, rb=rb, write=write):
                 return write(V, sl, np.floor(
-                    (ra(V, sl, env) + rb(V, sl, env) + 1) / 2.0))
+                    (ra(V, sl, run) + rb(V, sl, run) + 1) / 2.0))
         return step, update
 
     if op is Opcode.DIV:
         is_float = ty.is_float
 
-        def step(V, P, sl, env, ra=ra, rb=rb, write=write,
+        def step(V, P, sl, run, ra=ra, rb=rb, write=write,
                  is_float=is_float):
-            b = rb(V, sl, env)
+            b = rb(V, sl, run)
             if (b == 0).any():
-                return False  # scalar raises the per-lane fault
-            res = ra(V, sl, env) / b
+                return False  # the generic path raises the batch fault
+            res = ra(V, sl, run) / b
             return write(V, sl, res if is_float else np.trunc(res))
         return step, update
 
     if op is Opcode.SHL:
-        def step(V, P, sl, env, ra=ra, rb=rb, write=write):
-            res = np.trunc(ra(V, sl, env)) \
-                * (2.0 ** np.trunc(rb(V, sl, env)))
+        def step(V, P, sl, run, ra=ra, rb=rb, write=write):
+            res = np.trunc(ra(V, sl, run)) \
+                * (2.0 ** np.trunc(rb(V, sl, run)))
             return write(V, sl, res)
         return step, update
 
     if op is Opcode.SHR:
-        def step(V, P, sl, env, ra=ra, rb=rb, write=write):
-            res = np.floor(np.trunc(ra(V, sl, env))
-                           / (2.0 ** np.trunc(rb(V, sl, env))))
+        def step(V, P, sl, run, ra=ra, rb=rb, write=write):
+            res = np.floor(np.trunc(ra(V, sl, run))
+                           / (2.0 ** np.trunc(rb(V, sl, run))))
             return write(V, sl, res)
         return step, update
 
@@ -494,9 +441,9 @@ def _compile_alu_step(pre, known: dict):
         bitop = {Opcode.AND: np.bitwise_and, Opcode.OR: np.bitwise_or,
                  Opcode.XOR: np.bitwise_xor}[op]
 
-        def step(V, P, sl, env, ra=ra, rb=rb, bitop=bitop, write=write):
-            res = bitop(ra(V, sl, env).astype(np.int64),
-                        rb(V, sl, env).astype(np.int64)).astype(
+        def step(V, P, sl, run, ra=ra, rb=rb, bitop=bitop, write=write):
+            res = bitop(ra(V, sl, run).astype(np.int64),
+                        rb(V, sl, run).astype(np.int64)).astype(
                             np.float64)
             return write(V, sl, res)
         return step, update
@@ -504,121 +451,97 @@ def _compile_alu_step(pre, known: dict):
     return None, None
 
 
-def _generic_alu(pre):
-    """Fallback: the gang's batched datapath, accounting deferred."""
-    def step(V, P, sl, env, pre=pre):
-        return _apply_alu_batched(pre, env.rows, V, P, env.ctxs,
-                                  env.active, env.symcache)
-    return step
-
-
-def _emit_steps(items, known: dict):
-    """One pass over the cycle: specialize each instruction against the
+def _emit_steps(items, known: dict) -> tuple:
+    """One pass over the items: specialize each instruction against the
     evolving known-wrapped map, emitting executor step tuples."""
     steps = []
-    for idx, item in enumerate(items):
-        kind = item[0]
+    for idx, (kind, pre, ip, expect) in enumerate(items):
         if kind == "alu":
-            pre, ip = item[1], item[2]
             fn, update = _compile_alu_step(pre, known)
             if fn is None:
-                fn = _generic_alu(pre)
                 # the generic path may write ranges/masked lanes: assume
                 # nothing about register wrap state afterwards
                 known.clear()
             elif update is not None:
                 known[update[0]] = (update[1], update[2])
-            steps.append((_ALU, fn, ip, idx))
+            steps.append((_ALU, fn, pre, ip, idx))
         elif kind == "mem":
             known.clear()  # loads land via ty.wrap, but widths vary
-            steps.append((_MEM, item[1], item[2], idx))
+            steps.append((_MEM, None, pre, ip, idx))
         elif kind == "br":
-            steps.append((_BR, item[1], item[2], item[3], item[4],
-                          item[5], idx, item[7]))
+            guard = pre.instr.pred
+            steps.append((_BR, guard.index, guard.negate, expect,
+                          pre.target, ip + 1, idx, ip))
         # "pad": charge-only, no executor step
-    return steps
+    return tuple(steps)
 
 
-def compile_megaop(head: int, cycle: tuple, fused, pre_prog):
-    """Compile one recorded cycle, or None when it cannot promote."""
-    items = _cycle_items(head, cycle, fused, pre_prog)
-    if items is None:
-        return None
-
+def _compile(items, head: int, loops: bool = False) -> Trace:
+    """Compile items into a trace; ``loops`` marks a cycle, which also
+    gets the steady-state steps of every traversal after its first."""
+    trace = Trace()
+    trace.head = head
+    trace.items = tuple(items)
+    trace.exit = trace.tag = None
     entries = []
     effects = []
-    issue_prefix = [0]
-    mem_prefix = [0]
-    sampler_prefix = [0]
-    sbytes_prefix = [0]
-    for item in items:
-        instr = item[6] if item[0] == "br" else (
-            item[1].instr if item[0] in ("alu", "mem") else item[1])
+    issue = [0]
+    mem = [0]
+    sampler = [0]
+    sbytes = [0]
+    for kind, pre, _ip, _expect in items:
+        instr = pre.instr
         entry = trace_entry(instr)
         entries.append(entry)
         effects.append(cfg.effects(instr))
-        issue_prefix.append(issue_prefix[-1] + entry[0])
-        is_mem = item[0] == "mem"
-        mem_prefix.append(mem_prefix[-1] + (1 if is_mem else 0))
-        is_sample = is_mem and item[1].opcode is Opcode.SAMPLE
-        sampler_prefix.append(sampler_prefix[-1]
-                              + (instr.width if is_sample else 0))
-        sbytes_prefix.append(
-            sbytes_prefix[-1]
-            + (instr.width * instr.dtype.size if is_sample else 0))
+        issue.append(issue[-1] + entry[0])
+        mem.append(mem[-1] + (kind == "mem"))
+        samples = (instr.width if kind == "mem"
+                   and pre.opcode is Opcode.SAMPLE else 0)
+        sampler.append(sampler[-1] + samples)
+        sbytes.append(sbytes[-1] + samples * instr.dtype.size)
+    trace.ninstr = len(entries)
+    trace.entries = tuple(entries)
+    trace.effects = tuple(effects)
+    trace.nones = (None,) * len(entries)
+    trace.issue = tuple(issue)
+    trace.mem = tuple(mem)
+    trace.sampler = tuple(sampler)
+    trace.sbytes = tuple(sbytes)
+    # every ip the trace retires: a cycle that would blast through a
+    # pending reconvergence join is not dispatched, so suspended
+    # sub-gangs always merge at the precise ip
+    trace.ips = frozenset(ip for _kind, _pre, ip, _expect in items)
 
     known: dict = {}
-    steps_entry = _emit_steps(items, known)
-    after_first = dict(known)
-    steps_loop = _emit_steps(items, known)
-    if dict(known) != after_first:
-        # the wrap-state map did not reach a fixpoint after one
-        # traversal (cannot happen with the current update rules, but a
-        # wrong skip would break bit-exactness, so fail safe)
-        steps_loop = steps_entry
-
-    mop = MegaOp()
-    mop.head = head
-    mop.ninstr = len(entries)
-    mop.steps_entry = tuple(steps_entry)
-    mop.steps_loop = tuple(steps_loop)
-    mop.trace_entries = tuple(entries)
-    mop.effects = tuple(effects)
-    mop.nones = (None,) * len(entries)
-    mop.issue_total = issue_prefix[-1]
-    mop.issue_prefix = tuple(issue_prefix)
-    mop.mem_total = mem_prefix[-1]
-    mop.mem_prefix = tuple(mem_prefix)
-    mop.sampler_total = sampler_prefix[-1]
-    mop.sampler_prefix = tuple(sampler_prefix)
-    mop.sbytes_total = sbytes_prefix[-1]
-    mop.sbytes_prefix = tuple(sbytes_prefix)
-    # every ip the trace retires: the gang loop refuses to dispatch a
-    # megaop whose traversal would blast through a pending reconvergence
-    # join, so suspended sub-gangs always merge at the precise ip
-    mop.ips = frozenset(item[7] if item[0] == "br" else item[2]
-                        for item in items)
-    return mop
-
-# ---------------------------------------------------------------------------
-# executor
-# ---------------------------------------------------------------------------
+    trace.steps = _emit_steps(items, known)
+    trace.loop_steps = None
+    if loops:
+        after_first = dict(known)
+        trace.loop_steps = _emit_steps(items, known)
+        if known != after_first:
+            # the wrap-state map did not reach a fixpoint after one
+            # traversal (cannot happen with the current update rules, but
+            # a wrong skip would break bit-exactness, so fail safe)
+            trace.loop_steps = trace.steps
+    return trace
 
 
-def _charge_mega(mop: MegaOp, k: int, m: int, active: Sequence[int],
-                 recs, config, outcome) -> None:
-    """Bulk-charge ``k`` whole traversals plus an ``m``-instruction
-    prefix: the exact concatenation of the per-instruction entries the
-    scalar engine would append, in one extend per shred."""
-    total = mop.ninstr * k + m
-    if total == 0:
+def _charge(trace: Trace, k: int, m: int, active, recs, config,
+            outcome) -> None:
+    """Charge ``k`` whole passes of ``trace`` plus an ``m``-item prefix
+    to every active shred: the exact concatenation of the
+    per-instruction entries the scalar engine would append, in one
+    extend per shred."""
+    total = trace.ninstr * k + m
+    if not total:
         return
-    entries = mop.trace_entries * k + mop.trace_entries[:m]
-    eff_src = mop.effects if config.scoreboard else mop.nones
-    effects = eff_src * k + eff_src[:m]
-    issue = mop.issue_total * k + mop.issue_prefix[m]
-    sampler = mop.sampler_total * k + mop.sampler_prefix[m]
-    sbytes = mop.sbytes_total * k + mop.sbytes_prefix[m]
+    entries = trace.entries * k + trace.entries[:m]
+    effects = trace.effects if config.scoreboard else trace.nones
+    effects = effects * k + effects[:m]
+    issue = trace.issue[-1] * k + trace.issue[m]
+    sampler = trace.sampler[-1] * k + trace.sampler[m]
+    sbytes = trace.sbytes[-1] * k + trace.sbytes[m]
     for i in active:
         rec = recs[i]
         rec.trace.extend(entries)
@@ -630,119 +553,241 @@ def _charge_mega(mop: MegaOp, k: int, m: int, active: Sequence[int],
         if sbytes:
             rec.bytes_read += sbytes
     outcome.gang_lanes_retired += total * len(active)
-    outcome.batched_mem_lanes += (mop.mem_total * k
-                                  + mop.mem_prefix[m]) * len(active)
+    outcome.batched_mem_lanes += (trace.mem[-1] * k
+                                  + trace.mem[m]) * len(active)
+
+# ---------------------------------------------------------------------------
+# executor
+# ---------------------------------------------------------------------------
 
 
-def run_megaop(mop: MegaOp, device, active: List[int], V: np.ndarray,
-               P: np.ndarray, ctxs, recs, config, outcome, symcache: dict,
-               rows: np.ndarray,
-               diverge) -> Optional[Tuple[int, List[int]]]:
-    """Retire as many whole traversals of this cycle as possible.
+class TraceRun:
+    """One gang run's view of its program's traces.
 
-    Returns ``(next_ip, active)`` after making progress, or None when
-    zero instructions retired (the caller's fused/per-instruction path
-    then owns the ip, guaranteeing forward progress).  Every exit
-    charges exactly the retired instructions; a deopt resumes at the
-    precise ip of the first uncommitted instruction.
-
-    ``rows`` are the active lanes' rows of ``V``/``P`` (pack-relative
-    when those are a dense sub-gang pack); ``diverge`` routes a
-    divergent branch's losing side (park-or-peel).
+    Holds the profile window the gang loop notes block and memory exits
+    into, and — for the duration of one :meth:`run` call — the lanes the
+    specialized steps read (``rows``, ``active``) with their symbol
+    memo ``syms``.
     """
-    na = len(active)
-    sl = slice(None) if na == V.shape[0] else rows
-    env = MegaEnv()
-    env.rows = rows
-    env.active = active
-    env.ctxs = ctxs
-    env.symcache = symcache
-    env.syms = {}
-    ninstr = mop.ninstr
-    # re-admitted gangs need not hold uniform counts: budget from the
-    # most advanced record so no lane retires past the runaway cap
-    budget = MAX_INSTRUCTIONS - max(recs[i].instructions for i in active)
-    steps = mop.steps_entry
-    k = 0
-    stop = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if ninstr > budget:
-                stop = ("runaway",)
-                break
-            for st in steps:
-                code = st[0]
-                if code == _ALU:
-                    ok = False
-                    try:
-                        ok = st[1](V, P, sl, env)
-                    except ExecutionFault:
-                        ok = False
-                    if not ok:
-                        stop = ("deopt", st[2], st[3])
-                        break
-                elif code == _MEM:
-                    ok = False
-                    try:
-                        ok = _apply_mem_batched(device, st[1], rows, V, P,
-                                                ctxs, active, recs, config,
-                                                outcome, account=False)
-                    except (TlbMiss, ExecutionFault):
-                        ok = False
-                    if not ok:
-                        stop = ("deopt", st[2], st[3])
-                        break
-                else:  # _BR: (code, pidx, negate, expect, taken, fall,
-                    #        m, branch_ip)
-                    any_lane = P[sl, st[1], :].any(axis=1)
-                    taken = ~any_lane if st[2] else any_lane
-                    nt = int(taken.sum())
-                    if st[3]:
-                        if nt == na:
-                            continue  # on-trace: next step
-                        stop = ("exit", st[5], st[6] + 1) if nt == 0 \
-                            else ("div", taken, st)
-                    else:
-                        if nt == 0:
-                            continue
-                        stop = ("exit", st[4], st[6] + 1) if nt == na \
-                            else ("div", taken, st)
-                    break
-            if stop is None:
-                k += 1
-                budget -= ninstr
-                # steady state: registers this cycle wrote are known
-                # wrapped, so reads skip the idempotent re-wrap
-                steps = mop.steps_loop
-                continue
-            break
 
-    tag = stop[0]
-    if tag == "exit":
-        # a uniform off-trace branch is a normal trace exit, not a deopt
-        _charge_mega(mop, k, stop[2], active, recs, config, outcome)
-        outcome.megaops_retired += k
-        return (stop[1], active)
-    if tag == "runaway":
-        _charge_mega(mop, k, 0, active, recs, config, outcome)
-        outcome.megaops_retired += k
-        if k == 0:
-            return None  # per-instruction loop owns the precise fault
-        outcome.megaop_deopts += 1
-        return (mop.head, active)
-    if tag == "deopt":
-        m = stop[2]
-        _charge_mega(mop, k, m, active, recs, config, outcome)
-        outcome.megaops_retired += k
-        outcome.megaop_deopts += 1
-        if k == 0 and m == 0:
-            return None
-        return (stop[1], active)
+    __slots__ = ("traces", "device", "ctxs", "recs", "outcome",
+                 "symcache", "window", "pos", "rows", "active", "syms")
 
-    # divergence: exactly the per-instruction loop's split.  The branch
-    # itself is charged (its trace entry is direction independent).
-    taken, st = stop[1], stop[2]
-    _charge_mega(mop, k, st[6] + 1, active, recs, config, outcome)
-    outcome.megaops_retired += k
-    outcome.megaop_deopts += 1
-    return split_divergence(taken, active, st[7], st[4], st[5], diverge)
+    def __init__(self, device, program, pre_prog, ctxs, recs, outcome,
+                 symcache: dict):
+        traces = predecode.CACHE.lookup_traces(program)
+        if traces is None:
+            traces = ProgramTraces(program, pre_prog)
+            predecode.CACHE.store_traces(program, traces)
+            outcome.fusion_compiles += len(traces.blocks)
+        self.traces = traces
+        self.device = device
+        self.ctxs = ctxs
+        self.recs = recs
+        self.outcome = outcome
+        self.symcache = symcache
+        self.window: List[Tuple[int, str]] = []
+        self.pos: Dict[int, int] = {}
+
+    def reset(self) -> None:
+        """Anything irregular (divergence, fault, peel, END) breaks the
+        recording: the window restarts empty."""
+        if self.window:
+            self.window.clear()
+            self.pos.clear()
+
+    def note(self, ip: int, tag: str) -> None:
+        """Record one exit; a revisited ip closes the cycle since its
+        previous visit, restarts the window at this occurrence, and
+        counts one traversal of that cycle toward promotion."""
+        window, pos = self.window, self.pos
+        p = pos.get(ip)
+        if p is None:
+            if len(window) >= MAX_CYCLE_STEPS:
+                window.clear()
+                pos.clear()
+            pos[ip] = len(window)
+            window.append((ip, tag))
+            return
+        cycle = tuple(window[p:])
+        window.clear()
+        pos.clear()
+        pos[ip] = 0
+        window.append((ip, tag))
+        traces = self.traces
+        key = (ip, cycle)
+        if ip in traces.cycles or key in traces.dead:
+            return
+        count = traces.counts.get(key, 0) + 1
+        if count < PROMOTE_THRESHOLD:
+            traces.counts[key] = count
+            return
+        traces.counts.pop(key, None)
+        items = _cycle_items(ip, cycle, traces.blocks, traces.pre_prog)
+        if items is None:
+            traces.dead.add(key)
+            return
+        traces.cycles[ip] = _compile(items, ip, loops=True)
+        self.outcome.megaop_compiles += 1
+
+    def _pass(self, steps, V: np.ndarray, P: np.ndarray, sl):
+        """Run ``steps`` once.  Returns None when every step retired,
+        else why the pass stopped: ``("fail", ip, m)`` — item ``m`` could
+        not retire and wrote nothing; ``("exit", ip, m, tag)`` — a
+        uniform branch left the trace after ``m`` items; ``("div",
+        taken, step)`` — a branch split the gang."""
+        na = len(self.active)
+        for st in steps:
+            code = st[0]
+            if code == _ALU:
+                fn = st[1]
+                try:
+                    ok = ((fn is not None and fn(V, P, sl, self))
+                          or _apply_alu_batched(st[2], self.rows, V, P,
+                                                self.ctxs, self.active,
+                                                self.symcache))
+                except ExecutionFault:
+                    ok = False
+                if not ok:
+                    return ("fail", st[3], st[4])
+            elif code == _MEM:
+                try:
+                    ok = _apply_mem_batched(self.device, st[2], self.rows,
+                                            V, P, self.ctxs, self.active,
+                                            self.recs, self.device.config,
+                                            self.outcome, account=False)
+                except (TlbMiss, ExecutionFault):
+                    ok = False
+                if not ok:
+                    return ("fail", st[3], st[4])
+            else:  # _BR: (code, pidx, negate, expect, taken_ip, fall_ip,
+                #          m, branch_ip)
+                any_lane = P[sl, st[1], :].any(axis=1)
+                taken = ~any_lane if st[2] else any_lane
+                nt = int(taken.sum())
+                if nt == na:
+                    if st[3] is not True:
+                        return ("exit", st[4], st[6] + 1, "t")
+                elif nt == 0:
+                    if st[3] is not False:
+                        return ("exit", st[5], st[6] + 1, "f")
+                else:
+                    return ("div", taken, st)
+        return None
+
+    def run(self, ip: int, active: List[int], V: np.ndarray, P: np.ndarray,
+            rows: np.ndarray, finish_one, diverge,
+            stop_ip: Optional[int]) -> Optional[Tuple[int, List[int]]]:
+        """The chain loop: retire compiled traces starting at ``ip``.
+
+        A cycle headed at ``ip`` runs first, retiring whole traversals
+        until a pass stops; after any progress it returns.  Otherwise
+        blocks retire and chain through uniform exits until one cannot
+        retire, the chain reaches a promoted head (the next call
+        dispatches its cycle) or ``stop_ip``, the innermost pending
+        reconvergence join (never entered, so the gang suspends there
+        precisely; a cycle that retires it is not dispatched).
+
+        Returns ``(next_ip, active)`` after progress — possibly with the
+        gang drained, ``active == []`` — or None when nothing retired,
+        so the per-instruction loop owns ``ip``.  ``rows`` are the
+        active lanes' rows of ``V``/``P`` (pack-relative when those are a
+        dense sub-gang pack); ``diverge`` routes a divergent branch's
+        losing side (park-or-peel).
+        """
+        traces, recs, outcome = self.traces, self.recs, self.outcome
+        config = self.device.config
+        self.rows = rows
+        self.active = active
+        self.syms = {}
+        sl = slice(None) if len(active) == V.shape[0] else rows
+        # re-admitted gangs need not hold uniform counts: budget from the
+        # most advanced record so no lane retires past the runaway cap
+        # (the per-instruction loop checks it before every instruction;
+        # a trace of k only runs when all k checks pass)
+        budget = MAX_INSTRUCTIONS - max(recs[i].instructions for i in active)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cycle = traces.cycles.get(ip)
+            if cycle is not None and (stop_ip is None
+                                      or stop_ip not in cycle.ips):
+                k = 0
+                steps = cycle.steps
+                stop = None
+                while cycle.ninstr <= budget:
+                    stop = self._pass(steps, V, P, sl)
+                    if stop is not None:
+                        break
+                    k += 1
+                    budget -= cycle.ninstr
+                    steps = cycle.loop_steps
+                outcome.megaops_retired += k
+                if stop is None:  # the runaway cap
+                    _charge(cycle, k, 0, active, recs, config, outcome)
+                    if k:
+                        outcome.megaop_deopts += 1
+                        self.reset()
+                        return (ip, active)
+                elif stop[0] == "exit":
+                    # a uniform off-trace branch is a normal exit
+                    _charge(cycle, k, stop[2], active, recs, config,
+                            outcome)
+                    self.reset()
+                    return (stop[1], active)
+                elif stop[0] == "fail":
+                    _charge(cycle, k, stop[2], active, recs, config,
+                            outcome)
+                    outcome.megaop_deopts += 1
+                    if k or stop[2]:
+                        self.reset()
+                        return (stop[1], active)
+                else:  # divergence: charged through the branch
+                    taken, st = stop[1], stop[2]
+                    _charge(cycle, k, st[6] + 1, active, recs, config,
+                            outcome)
+                    outcome.megaop_deopts += 1
+                    self.reset()
+                    return split_divergence(taken, active, st[7], st[4],
+                                            st[5], diverge)
+
+            progressed = False
+            while True:
+                block = traces.blocks.get(ip)
+                if block is None or block.ninstr > budget:
+                    return (ip, active) if progressed else None
+                budget -= block.ninstr
+                stop = self._pass(block.steps, V, P, sl)
+                if stop is not None and stop[0] == "fail":
+                    # earlier items committed exactly as the
+                    # per-instruction loop would have; the failing one
+                    # wrote nothing, so that loop re-runs it (and its
+                    # per-shred fallback) at the precise ip
+                    _charge(block, 0, stop[2], active, recs, config,
+                            outcome)
+                    self.reset()
+                    if stop[2] == 0 and not progressed:
+                        return None
+                    return (stop[1], active)
+                # every item retired (a branch's trace entry is direction
+                # independent, so it is charged before any split)
+                _charge(block, 1, 0, active, recs, config, outcome)
+                outcome.fused_blocks_retired += 1
+                if stop is None:
+                    ip, tag = block.exit, block.tag
+                    if tag == "end":
+                        self.reset()
+                        for i in active:
+                            finish_one(i)
+                        return (ip, [])
+                elif stop[0] == "exit":
+                    ip, tag = stop[1], stop[3]
+                else:
+                    self.reset()
+                    taken, st = stop[1], stop[2]
+                    return split_divergence(taken, active, st[7], st[4],
+                                            st[5], diverge)
+                if tag != "x":
+                    outcome.trace_chains += 1
+                progressed = True
+                self.note(block.head, tag)
+                if ip == stop_ip or ip in traces.cycles:
+                    return (ip, active)

@@ -1,24 +1,25 @@
 """Basic-block discovery and reconvergence over a predecoded program.
 
-The megaop engine's fused tier (:mod:`repro.gma.fusion`) amortizes its
-per-instruction Python dispatch over whole straight-line regions.  This
-module finds those regions once per program: a *basic block* is a maximal
-run of instructions the gang can retire back-to-back without consulting
-the per-instruction loop — batched ALU ops plus the no-datapath controls
-(``nop``/``fence``) — optionally ending with one *terminator*
-(``jmp``/``br``/``end``) whose outcome decides the successor.
+The megaop engine's compiled traces (:mod:`repro.gma.megaop`) amortize
+its per-instruction Python dispatch over whole straight-line regions.
+This module finds those regions once per program: a *basic block* is a
+maximal run of instructions the gang can retire back-to-back without
+consulting the per-instruction loop — batched ALU ops plus the
+no-datapath controls (``nop``/``fence``) — optionally ending with one
+*terminator* (``jmp``/``br``/``end``) whose outcome decides the
+successor.
 
 Leaders (block entry points) are :func:`repro.isa.cfg.leaders` —
 instruction 0, every label (so every branch target) and the ip after
-every ``jmp``/``br``/``end`` — plus one fusion cut: the fall-through of
-every other non-fusable boundary instruction (memory ops, per-shred
-steps, peels), where the per-instruction loop resumes after handling
-the boundary and fusion must be able to pick the trace back up.
+every ``jmp``/``br``/``end`` — plus one cut: the fall-through of every
+other boundary instruction (memory ops, per-shred steps, peels), where
+the per-instruction loop resumes after handling the boundary and a
+compiled block must be able to pick the trace back up.
 
 A block never spans a leader — a backward branch into the middle of a
 straight-line run splits it — so entering a block at its ``start`` is the
-only way in, which is what lets the fused executor charge a whole block's
-accounting in one shot.  Blocks that would be empty (a boundary
+only way in, which is what lets its compiled trace charge the whole
+block's accounting in one shot.  Blocks that would be empty (a boundary
 instruction is the entry itself) are not recorded; the per-instruction
 loop owns those ips.
 """
@@ -43,7 +44,7 @@ _BODY_CONTROL = (Opcode.NOP, Opcode.FENCE)
 
 
 def fusable_body(pre: PredecodedInstr) -> bool:
-    """Can this instruction sit inside a fused block body?"""
+    """Can this instruction sit inside a block body?"""
     if pre.batch_class == BATCH_ALU:
         return True
     return (pre.batch_class == BATCH_CONTROL
@@ -90,7 +91,7 @@ def discover_blocks(pre_prog: PredecodedProgram,
     instrs = pre_prog.instrs
     count = len(instrs)
     leaders = cfg.leaders([pre.instr for pre in instrs], labels)
-    # fusion cuts: after a boundary (memory / per-shred / peel) the
+    # cuts: after a boundary (memory / per-shred / peel) the
     # per-instruction loop resumes at the fall-through
     leaders.update(ip + 1 for ip, pre in enumerate(instrs)
                    if not fusable_body(pre))

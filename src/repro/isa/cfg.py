@@ -2,7 +2,8 @@
 
 The ISA layer's one definition of what a block, an edge and a register
 use are: the list scheduler, the schedule transforms and their tuner,
-fusion, reconvergence discovery and the scoreboard all ask this module.
+block discovery, reconvergence discovery and the scoreboard all ask
+this module.
 """
 
 from __future__ import annotations

@@ -298,14 +298,10 @@ class PredecodeCache:
 
     def __init__(self):
         self._entries: Dict[int, tuple] = {}
-        #: Fused-block programs (:mod:`repro.gma.fusion`), keyed like
-        #: ``_entries`` and evicted with them: a fused entry must never
-        #: outlive — or alias across id reuse — its predecode entry.
-        self._fused: Dict[int, object] = {}
-        #: Megaop promotion state (:mod:`repro.gma.megaop`), keyed and
-        #: evicted exactly like ``_fused``: compiled megaops reference
-        #: the program's fused blocks, so they must share its lifetime.
-        self._megaops: Dict[int, object] = {}
+        #: Compiled traces (:mod:`repro.gma.megaop`), keyed like
+        #: ``_entries`` and evicted with them: traces must never outlive
+        #: — or alias across id reuse — their predecode entry.
+        self._traces: Dict[int, object] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -321,8 +317,7 @@ class PredecodeCache:
                     self.hits += 1
                     return pre
                 self._entries.pop(key, None)  # stale id reuse
-                self._fused.pop(key, None)
-                self._megaops.pop(key, None)
+                self._traces.pop(key, None)
             self.misses += 1
         # decode outside the lock: it is pure and per program, so a
         # concurrent duplicate decode is cheaper than serializing all of
@@ -331,8 +326,7 @@ class PredecodeCache:
 
         def _evict(_ref, cache=self, key=key):
             with cache._lock:
-                cache._fused.pop(key, None)
-                cache._megaops.pop(key, None)
+                cache._traces.pop(key, None)
                 if cache._entries.pop(key, None) is not None:
                     cache.evictions += 1
 
@@ -340,51 +334,32 @@ class PredecodeCache:
             self._entries[key] = (weakref.ref(program, _evict), pre)
         return pre
 
-    def lookup_fused(self, program: Program):
-        """The fused-block entry stored for this program, or None."""
+    def lookup_traces(self, program: Program):
+        """The compiled traces stored for this program, or None."""
         key = id(program)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0]() is program:
-                return self._fused.get(key)
+                return self._traces.get(key)
         return None
 
-    def store_fused(self, program: Program, fused) -> None:
-        """Attach a fused-block entry alongside the predecode entry.
+    def store_traces(self, program: Program, traces) -> None:
+        """Attach compiled traces alongside the predecode entry.
 
         Stored only while the program's predecode entry is live and
         verified — the weakref eviction and stale-id checks then cover
-        both, so fused blocks can never leak across id reuse.
+        both, so traces can never leak across id reuse.
         """
         key = id(program)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0]() is program:
-                self._fused[key] = fused
-
-    def lookup_megaops(self, program: Program):
-        """The megaop promotion state stored for this program, or None."""
-        key = id(program)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0]() is program:
-                return self._megaops.get(key)
-        return None
-
-    def store_megaops(self, program: Program, megaops) -> None:
-        """Attach megaop promotion state alongside the predecode entry,
-        under the same liveness verification as :meth:`store_fused`."""
-        key = id(program)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0]() is program:
-                self._megaops[key] = megaops
+                self._traces[key] = traces
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._fused.clear()
-            self._megaops.clear()
+            self._traces.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -398,10 +373,8 @@ class PredecodeCache:
     def stats(self) -> Dict[str, int]:
         """A snapshot of the cache's health counters."""
         with self._lock:
-            fused_blocks = sum(len(fused.blocks)
-                               for fused in self._fused.values())
-            megaops = sum(len(mega.ops)
-                          for mega in self._megaops.values())
+            fused_blocks = sum(len(t.blocks) for t in self._traces.values())
+            megaops = sum(len(t.cycles) for t in self._traces.values())
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,

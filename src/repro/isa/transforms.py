@@ -1,13 +1,13 @@
 """Exo-style schedulable transforms over assembled accelerator programs.
 
-EXOCHI's CHI compiler shipped hand-tuned kernels; the fusion and megaop
-tiers of this reproduction only pay off on shapes the kernel author
-happened to write fusably.  This module closes that gap with *schedules*:
+EXOCHI's CHI compiler shipped hand-tuned kernels; the compiled traces
+of this reproduction's megaop engine only pay off on shapes the kernel
+author happened to write as long straight-line runs.  This module closes that gap with *schedules*:
 semantics-preserving rewrites applied to an assembled :class:`Program`,
 in the spirit of Exo/SYS_ATL user-schedulable languages —
 
 * :func:`unroll` — peel a counted loop's body ``factor`` times so the
-  superblock fuser and the megaop trace recorder see longer
+  megaop engine's blocks and recorded cycles are longer
   straight-line traces (and fewer ``cmp``/``br`` retirements);
 * :func:`reorder` — block-local list scheduling, delegated to
   :func:`repro.isa.scheduler.schedule_program`;
@@ -28,7 +28,7 @@ reconvergence annotations are recomputed from scratch and the predecode
 cache never aliases a transformed program with its source.
 
 Blocks, dominators, register liveness and instruction footprints come
-from :mod:`repro.isa.cfg`, shared with the scheduler and fusion.
+from :mod:`repro.isa.cfg`, shared with the scheduler and block discovery.
 
 Legality envelope (documented in ``docs/SCHEDULE.md``): address
 arithmetic is reasoned about symbolically assuming coordinate values

@@ -1,76 +1,21 @@
-"""Differential suite: the fused tier must be bit-identical to scalar.
+"""Differential suite: compiled blocks must be bit-identical to scalar.
 
-Mirrors ``test_gang_differential``: every scenario runs on a scalar
-device and a megaop device over fresh address spaces, then compares
-outputs, per-shred ``ShredRun`` records (including
-the ``(issue, latency)`` traces the timing model replays) and every
-aggregate counter.  The targeted scenarios aim at the fusion-specific
-seams: divergence *inside* a compiled block's loop, guarded ALU steps in
-a block body, a TLB miss interrupting a chained trace, and a CEH fault
-raised by a block's batched step.
+Every scenario runs on a scalar device and a megaop device over fresh
+address spaces, at the shipped promotion threshold, then compares
+outputs, per-shred ``ShredRun`` records (including the ``(issue,
+latency)`` traces the timing model replays) and every aggregate
+counter.  The targeted scenarios aim at the seams of a basic block's
+compiled trace: divergence *inside* a chained loop, guarded ALU steps
+in a block body, a TLB miss interrupting a chained trace, and a CEH
+fault raised by a block's batched step.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.exo.shred import ShredDescriptor
-from repro.gma.device import GmaDevice
-from repro.isa.assembler import assemble
-from repro.isa.types import DataType
-from repro.memory.address_space import AddressSpace
-from repro.memory.surface import Surface
-
-RUN_FIELDS = ("instructions", "issue_cycles", "bytes_read", "bytes_written",
-              "sampler_samples", "atr_events", "ceh_events", "spawned")
-AGG_FIELDS = ("shreds_executed", "instructions", "bytes_read",
-              "bytes_written", "atr_events", "ceh_events", "spawned_shreds")
+from tests.helpers import assert_identical, run_engines
 
 
-def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
-                prepare_surfaces: bool = True):
-    """The same launch on scalar and megaop, each on a fresh device."""
-    program = assemble(asm, name="fusion-differential")
-    out = {}
-    for engine in GmaDevice.ENGINES:
-        space = AddressSpace()
-        device = GmaDevice(space, engine=engine)
-        surfaces = {
-            name: Surface.alloc(space, name, width, height, DataType.F)
-            for name, (width, height) in (surfaces_spec or {}).items()
-        }
-        for name, image in (inputs or {}).items():
-            surfaces[name].upload(space, np.asarray(image))
-        shreds = [ShredDescriptor(program=program, bindings=dict(bindings),
-                                  surfaces=surfaces)
-                  for bindings in bindings_list]
-        result = device.run(shreds, prepare_surfaces=prepare_surfaces)
-        downloads = {name: surf.download(space)
-                     for name, surf in surfaces.items()}
-        out[engine] = (result, downloads)
-    return out["scalar"], out["megaop"]
-
-
-def assert_identical(scalar, fused):
-    result_s, surfaces_s = scalar
-    result_f, surfaces_f = fused
-    for fieldname in AGG_FIELDS:
-        assert getattr(result_s, fieldname) == getattr(result_f, fieldname), \
-            fieldname
-    assert result_s.cycles == result_f.cycles
-    assert len(result_s.runs) == len(result_f.runs)
-    for position, (run_s, run_f) in enumerate(
-            zip(result_s.runs, result_f.runs)):
-        for fieldname in RUN_FIELDS:
-            assert getattr(run_s, fieldname) == getattr(run_f, fieldname), \
-                f"shred {position}: {fieldname}"
-        assert run_s.trace == run_f.trace, f"shred {position}: trace"
-    assert set(surfaces_s) == set(surfaces_f)
-    for name in surfaces_s:
-        assert np.array_equal(surfaces_s[name], surfaces_f[name]), name
-
-
-# -- fusion-specific seams -------------------------------------------------------------
+# -- block seams -------------------------------------------------------------
 
 
 def test_homogeneous_loop_chains_traces():
@@ -85,9 +30,9 @@ def test_homogeneous_loop_chains_traces():
     br p1, loop
     end
     """
-    scalar, fused = run_engines(asm, [{"iters": 6.0}] * 8)
-    assert_identical(scalar, fused)
-    result = fused[0]
+    scalar, megaop = run_engines(asm, [{"iters": 6.0}] * 8)
+    assert_identical(scalar, megaop)
+    result = megaop[0]
     assert result.scalar_fallbacks == 0
     assert result.gang_lanes_retired == result.instructions
     assert result.fused_blocks_retired > 0
@@ -97,7 +42,7 @@ def test_homogeneous_loop_chains_traces():
 
 
 def test_divergence_inside_loop():
-    """A branch that splits mid-loop: the fused divergence path parks the
+    """A branch that splits mid-loop: the block's divergence path parks the
     minority toward the reconvergence point, the majority keeps chaining
     blocks, and the merge at the join stays bit-identical to scalar."""
     asm = """
@@ -111,12 +56,12 @@ def test_divergence_inside_loop():
     end
     """
     bindings = [{"iters": 9.0}] * 5 + [{"iters": 3.0}] * 3
-    scalar, fused = run_engines(asm, bindings)
-    assert_identical(scalar, fused)
-    assert fused[0].scalar_fallbacks == 0  # repacked, not peeled
-    assert fused[0].gang_repacks == 1
-    assert fused[0].lanes_readmitted == 3
-    assert fused[0].fused_blocks_retired > 0
+    scalar, megaop = run_engines(asm, bindings)
+    assert_identical(scalar, megaop)
+    assert megaop[0].scalar_fallbacks == 0  # repacked, not peeled
+    assert megaop[0].gang_repacks == 1
+    assert megaop[0].lanes_readmitted == 3
+    assert megaop[0].fused_blocks_retired > 0
 
 
 def test_guarded_alu_inside_block():
@@ -132,14 +77,14 @@ def test_guarded_alu_inside_block():
     end
     """
     bindings = [{"thresh": float(t)} for t in (4.0, 4.0, 8.0, 8.0)]
-    scalar, fused = run_engines(asm, bindings)
-    assert_identical(scalar, fused)
-    assert fused[0].scalar_fallbacks == 0
+    scalar, megaop = run_engines(asm, bindings)
+    assert_identical(scalar, megaop)
+    assert megaop[0].scalar_fallbacks == 0
 
 
 def test_tlb_miss_interrupts_chained_trace():
-    """An unprepared surface faults a store mid-program: the fused run
-    must abandon the chain before any state changes and preserve ATR
+    """An unprepared surface faults a store mid-program: the block chain
+    must abandon the trace before any state changes and preserve ATR
     service order through the deferred peel."""
     asm = """
     mov.1.dw vr2 = base
@@ -149,12 +94,12 @@ def test_tlb_miss_interrupts_chained_trace():
     end
     """
     bindings = [{"base": float(16 * i)} for i in range(4)]
-    scalar, fused = run_engines(asm, bindings,
+    scalar, megaop = run_engines(asm, bindings,
                                 surfaces_spec={"OUT": (64, 1)},
                                 prepare_surfaces=False)
-    assert_identical(scalar, fused)
+    assert_identical(scalar, megaop)
     assert scalar[0].atr_events == 1  # first store faults, rest hit
-    assert fused[0].scalar_fallbacks == 4
+    assert megaop[0].scalar_fallbacks == 4
 
 
 def test_ceh_fault_mid_block():
@@ -169,10 +114,10 @@ def test_ceh_fault_mid_block():
     end
     """
     bindings = [{"d": 0.0 if i in (1, 4) else 2.0} for i in range(6)]
-    scalar, fused = run_engines(asm, bindings)
-    assert_identical(scalar, fused)
+    scalar, megaop = run_engines(asm, bindings)
+    assert_identical(scalar, megaop)
     assert scalar[0].ceh_events == 2
-    assert fused[0].scalar_fallbacks == 2  # only the faulting shreds peel
+    assert megaop[0].scalar_fallbacks == 2  # only the faulting shreds peel
 
 
 def test_spawn_boundary_stops_fusion():
@@ -187,7 +132,7 @@ def test_spawn_boundary_stops_fusion():
     end
     """
     bindings = [{"__spawn_arg": 1.0}] * 2 + [{"__spawn_arg": 0.0}] * 2
-    scalar, fused = run_engines(asm, bindings)
-    assert_identical(scalar, fused)
+    scalar, megaop = run_engines(asm, bindings)
+    assert_identical(scalar, megaop)
     assert scalar[0].spawned_shreds == 2
     assert scalar[0].shreds_executed == 6  # 4 parents + 2 children

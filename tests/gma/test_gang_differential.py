@@ -5,71 +5,15 @@ Every scenario runs the same program twice — once on a
 lockstep gang loop these scenarios aim at — over fresh address spaces,
 then compares outputs, per-shred ``ShredRun`` records
 (including the ``(issue, latency)`` traces the timing model replays) and
-every aggregate counter.  Shred ids differ numerically between the two
-runs (the global descriptor counter keeps counting), so records are
-compared per queue position, never by id.
+every aggregate counter, through the shared harness in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exo.shred import ShredDescriptor
-from repro.gma.device import GmaDevice
-from repro.isa.assembler import assemble
-from repro.isa.types import DataType
-from repro.memory.address_space import AddressSpace
-from repro.memory.surface import Surface
-
-RUN_FIELDS = ("instructions", "issue_cycles", "bytes_read", "bytes_written",
-              "sampler_samples", "atr_events", "ceh_events", "spawned")
-AGG_FIELDS = ("shreds_executed", "instructions", "bytes_read",
-              "bytes_written", "atr_events", "ceh_events", "spawned_shreds")
-
-
-def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
-                prepare_surfaces: bool = True,
-                engines=GmaDevice.ENGINES):
-    """The same launch on every engine, each on a fresh device + space."""
-    program = assemble(asm, name="differential")
-    out = {}
-    for engine in engines:
-        space = AddressSpace()
-        device = GmaDevice(space, engine=engine)
-        surfaces = {
-            name: Surface.alloc(space, name, width, height, DataType.F)
-            for name, (width, height) in (surfaces_spec or {}).items()
-        }
-        for name, image in (inputs or {}).items():
-            surfaces[name].upload(space, np.asarray(image))
-        shreds = [ShredDescriptor(program=program, bindings=dict(bindings),
-                                  surfaces=surfaces)
-                  for bindings in bindings_list]
-        result = device.run(shreds, prepare_surfaces=prepare_surfaces)
-        downloads = {name: surf.download(space)
-                     for name, surf in surfaces.items()}
-        out[engine] = (result, downloads)
-    return [out[engine] for engine in engines]
-
-
-def assert_identical(scalar, gang):
-    result_s, surfaces_s = scalar
-    result_g, surfaces_g = gang
-    for fieldname in AGG_FIELDS:
-        assert getattr(result_s, fieldname) == getattr(result_g, fieldname), \
-            fieldname
-    assert result_s.cycles == result_g.cycles
-    assert len(result_s.runs) == len(result_g.runs)
-    for position, (run_s, run_g) in enumerate(
-            zip(result_s.runs, result_g.runs)):
-        for fieldname in RUN_FIELDS:
-            assert getattr(run_s, fieldname) == getattr(run_g, fieldname), \
-                f"shred {position}: {fieldname}"
-        assert run_s.trace == run_g.trace, f"shred {position}: trace"
-    assert set(surfaces_s) == set(surfaces_g)
-    for name in surfaces_s:
-        assert np.array_equal(surfaces_s[name], surfaces_g[name]), name
-
+from tests.helpers import assert_identical, run_engines
 
 # -- targeted divergence scenarios -----------------------------------------------------
 

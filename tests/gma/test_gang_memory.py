@@ -25,8 +25,7 @@ from repro.memory.address_space import AddressSpace
 from repro.memory.physical import PAGE_SIZE
 from repro.memory.surface import Surface, TileMode
 
-from .test_gang_differential import (RUN_FIELDS, assert_identical,
-                                     run_engines)
+from tests.helpers import RUN_FIELDS, assert_identical, run_engines
 
 #: Elements per page for the F (4-byte float) surfaces used throughout.
 ELEMS_PER_PAGE = PAGE_SIZE // DataType.F.size

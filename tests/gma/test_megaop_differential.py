@@ -1,15 +1,17 @@
-"""Differential suite: the megaop engine must be bit-identical to scalar.
+"""Differential suite: promoted cycles must be bit-identical to scalar.
 
-Mirrors ``test_fusion_differential`` with a low promotion threshold so
-short test loops actually promote: every scenario
-runs on a scalar device and a megaop device over fresh address spaces,
-then compares outputs, per-shred ``ShredRun`` records (including the
-``(issue, latency)`` traces the timing model replays) and every
-aggregate counter.  The targeted scenarios aim at the megaop-specific
-seams: divergence *inside* a promoted trace, a TLB miss raised by a mem
-step mid-megaop, a CEH-proxied fault mid-megaop, spawn boundaries, the
-promotion threshold itself, and promotion/eviction interplay with the
-``PredecodeCache``'s GC-driven eviction.
+Runs with a low promotion threshold so short test loops actually
+promote: every scenario runs on a scalar device and a megaop device over
+fresh address spaces, then compares outputs, per-shred ``ShredRun``
+records (including the ``(issue, latency)`` traces the timing model
+replays) and every aggregate counter, through the shared harness in
+``tests/helpers.py``.  The targeted scenarios aim at the seams of a
+promoted cycle: divergence *inside* it, a TLB miss raised by a mem step
+mid-cycle, a CEH-proxied fault mid-cycle, the in-place generic fallback
+of a step whose specialized form cannot prove its result, symbol reads
+at several dtypes and widths, spawn boundaries, the promotion threshold
+itself, and promotion/eviction interplay with the ``PredecodeCache``'s
+GC-driven eviction.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ from repro.kernels import ALL_KERNELS, run_kernel_on_gma
 from repro.memory.address_space import AddressSpace
 from repro.memory.surface import Surface
 from repro.perf import SMOKE_GEOMETRIES
-
-RUN_FIELDS = ("instructions", "issue_cycles", "bytes_read", "bytes_written",
-              "sampler_samples", "atr_events", "ceh_events", "spawned")
-AGG_FIELDS = ("shreds_executed", "instructions", "bytes_read",
-              "bytes_written", "atr_events", "ceh_events", "spawned_shreds")
+from tests.helpers import assert_identical, run_engines
 
 #: Low enough that a handful of loop traversals promotes the cycle.
 THRESHOLD = 3
@@ -42,49 +40,6 @@ THRESHOLD = 3
 @pytest.fixture(autouse=True)
 def low_threshold(monkeypatch):
     monkeypatch.setattr(megaop_tier, "PROMOTE_THRESHOLD", THRESHOLD)
-
-
-def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
-                prepare_surfaces: bool = True):
-    """The same launch on scalar and megaop, each on a fresh device."""
-    program = assemble(asm, name="megaop-differential")
-    out = {}
-    for engine in GmaDevice.ENGINES:
-        space = AddressSpace()
-        device = GmaDevice(space, engine=engine)
-        surfaces = {
-            name: Surface.alloc(space, name, width, height, DataType.F)
-            for name, (width, height) in (surfaces_spec or {}).items()
-        }
-        for name, image in (inputs or {}).items():
-            surfaces[name].upload(space, np.asarray(image))
-        shreds = [ShredDescriptor(program=program, bindings=dict(bindings),
-                                  surfaces=surfaces)
-                  for bindings in bindings_list]
-        result = device.run(shreds, prepare_surfaces=prepare_surfaces)
-        downloads = {name: surf.download(space)
-                     for name, surf in surfaces.items()}
-        out[engine] = (result, downloads)
-    return out["scalar"], out["megaop"]
-
-
-def assert_identical(scalar, megaop):
-    result_s, surfaces_s = scalar
-    result_m, surfaces_m = megaop
-    for fieldname in AGG_FIELDS:
-        assert getattr(result_s, fieldname) == getattr(result_m, fieldname), \
-            fieldname
-    assert result_s.cycles == result_m.cycles
-    assert len(result_s.runs) == len(result_m.runs)
-    for position, (run_s, run_m) in enumerate(
-            zip(result_s.runs, result_m.runs)):
-        for fieldname in RUN_FIELDS:
-            assert getattr(run_s, fieldname) == getattr(run_m, fieldname), \
-                f"shred {position}: {fieldname}"
-        assert run_s.trace == run_m.trace, f"shred {position}: trace"
-    assert set(surfaces_s) == set(surfaces_m)
-    for name in surfaces_s:
-        assert np.array_equal(surfaces_s[name], surfaces_m[name]), name
 
 
 # -- the whole kernel suite ------------------------------------------------------------
@@ -147,7 +102,7 @@ def test_homogeneous_loop_promotes_and_retires():
 
 def test_divergence_mid_megaop_deopts():
     """A promoted trace whose guard branch splits: the megaop charges
-    only completed traversals, deopts, and the fused/gang machinery
+    only completed traversals, deopts, and the block/gang machinery
     defers the minority at the exact exit ip."""
     asm = """
     mov.1.dw vr2 = 0
@@ -274,6 +229,97 @@ def test_ceh_fault_mid_megaop_deopts():
     assert result.megaop_compiles == 1
     assert result.megaops_retired > 0
     assert result.megaop_deopts >= 1
+
+
+def test_pass_through_inf_falls_back_in_place():
+    """A hot ``f`` loop whose loaded input holds an inf in one lane: the
+    specialized add cannot tell that pass-through inf from an overflow,
+    so it writes nothing and the executor hands the instruction to the
+    generic batched step in place.  The cycle keeps retiring whole
+    traversals instead of deopting on every one."""
+    asm = """
+    mov.1.dw vr2 = 0
+    loop:
+    ld.16.f vr5 = (IN, 0, 0)
+    add.16.f vr6 = vr5, 1.0
+    add.1.dw vr2 = vr2, 1
+    cmp.lt.1.dw p1 = vr2, iters
+    br p1, loop
+    st.16.f (OUT, base, 0) = vr6
+    end
+    """
+    image = np.arange(16.0).reshape(1, 16)
+    image[0, 5] = np.inf
+    bindings = [{"iters": 20.0, "base": float(16 * i)} for i in range(4)]
+    scalar, megaop = run_engines(asm, bindings,
+                                 surfaces_spec={"IN": (16, 1),
+                                                "OUT": (64, 1)},
+                                 inputs={"IN": image})
+    assert_identical(scalar, megaop)
+    assert np.isinf(scalar[1]["OUT"][0, 5::16]).all()
+    result = megaop[0]
+    assert result.scalar_fallbacks == 0
+    assert result.megaop_compiles == 1
+    assert result.megaops_retired > 0
+    assert result.megaop_deopts == 0
+
+
+def test_symbol_read_at_two_dtypes():
+    """One symbol read at two dtypes in a promoted cycle: each read
+    wraps the bound value for its own dtype (300 reads 44 as ``ub`` and
+    300 as ``dw``), so a memoized symbol read must not serve one
+    dtype's wrap to the other."""
+    asm = """
+    iota.16.dw vr1
+    mov.1.dw vr2 = 0
+    loop:
+    add.16.ub vr3 = vr1, s
+    add.16.dw vr4 = vr1, s
+    add.1.dw vr2 = vr2, 1
+    cmp.lt.1.dw p1 = vr2, iters
+    br p1, loop
+    st.16.f (OUT, base, 0) = vr3
+    st.16.f (OUT, base, 16) = vr4
+    end
+    """
+    bindings = [{"s": 300.0, "iters": 20.0, "base": float(32 * i)}
+                for i in range(4)]
+    scalar, megaop = run_engines(asm, bindings,
+                                 surfaces_spec={"OUT": (128, 1)})
+    assert_identical(scalar, megaop)
+    out = megaop[1]["OUT"][0]
+    assert np.array_equal(out[:16], np.arange(44.0, 60.0))
+    assert np.array_equal(out[16:32], np.arange(300.0, 316.0))
+    assert megaop[0].megaop_compiles == 1
+    assert megaop[0].megaops_retired > 0
+
+
+def test_symbol_read_at_two_widths():
+    """One symbol read at width 16 and then at width 1 in a promoted
+    cycle: each read gets its own shape."""
+    asm = """
+    iota.16.dw vr1
+    mov.1.dw vr2 = 0
+    loop:
+    add.16.dw vr3 = vr1, s
+    add.1.dw vr4 = vr2, s
+    add.1.dw vr2 = vr2, 1
+    cmp.lt.1.dw p1 = vr2, iters
+    br p1, loop
+    st.16.f (OUT, base, 0) = vr3
+    st.1.f (OUT, base, 16) = vr4
+    end
+    """
+    bindings = [{"s": 7.0, "iters": 20.0, "base": float(32 * i)}
+                for i in range(4)]
+    scalar, megaop = run_engines(asm, bindings,
+                                 surfaces_spec={"OUT": (128, 1)})
+    assert_identical(scalar, megaop)
+    out = megaop[1]["OUT"][0]
+    assert np.array_equal(out[:16], np.arange(7.0, 23.0))
+    assert out[16] == 7.0 + 19.0  # the last traversal's counter + s
+    assert megaop[0].megaop_compiles == 1
+    assert megaop[0].megaops_retired > 0
 
 
 def test_spawn_boundary_never_promotes(monkeypatch):

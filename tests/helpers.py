@@ -117,3 +117,70 @@ def run_program(asm_text: str, bindings=None, surfaces=None,
         if steps > max_steps:
             raise AssertionError("program did not terminate")
     return ctx
+
+
+# -- scalar-vs-megaop differential harness -----------------------------------
+
+#: ``ShredRun`` fields every differential test compares per shred.
+RUN_FIELDS = ("instructions", "issue_cycles", "bytes_read", "bytes_written",
+              "sampler_samples", "atr_events", "ceh_events", "spawned")
+#: Device-run aggregates every differential test compares.
+AGG_FIELDS = ("shreds_executed", "instructions", "bytes_read",
+              "bytes_written", "atr_events", "ceh_events", "spawned_shreds")
+
+
+def run_engines(asm: str, bindings_list, surfaces_spec=None, inputs=None,
+                prepare_surfaces: bool = True):
+    """The same launch on scalar and megaop, each on a fresh device and
+    address space; returns ``[(result, downloads)]`` in that order.
+
+    Shred ids differ numerically between the two runs (the global
+    descriptor counter keeps counting), so :func:`assert_identical`
+    compares records per queue position, never by id.
+    """
+    from repro.exo.shred import ShredDescriptor
+    from repro.gma.device import GmaDevice
+    from repro.isa.assembler import assemble
+    from repro.memory.address_space import AddressSpace
+    from repro.memory.surface import Surface
+
+    program = assemble(asm, name="differential")
+    out = []
+    for engine in GmaDevice.ENGINES:
+        space = AddressSpace()
+        device = GmaDevice(space, engine=engine)
+        surfaces = {
+            name: Surface.alloc(space, name, width, height, DataType.F)
+            for name, (width, height) in (surfaces_spec or {}).items()
+        }
+        for name, image in (inputs or {}).items():
+            surfaces[name].upload(space, np.asarray(image))
+        shreds = [ShredDescriptor(program=program, bindings=dict(bindings),
+                                  surfaces=surfaces)
+                  for bindings in bindings_list]
+        result = device.run(shreds, prepare_surfaces=prepare_surfaces)
+        downloads = {name: surf.download(space)
+                     for name, surf in surfaces.items()}
+        out.append((result, downloads))
+    return out
+
+
+def assert_identical(scalar, other):
+    """Outputs, aggregates, cycles and every shred's record and
+    ``(issue, latency)`` trace must match the scalar run exactly."""
+    result_s, surfaces_s = scalar
+    result_o, surfaces_o = other
+    for fieldname in AGG_FIELDS:
+        assert getattr(result_s, fieldname) == getattr(result_o, fieldname), \
+            fieldname
+    assert result_s.cycles == result_o.cycles
+    assert len(result_s.runs) == len(result_o.runs)
+    for position, (run_s, run_o) in enumerate(
+            zip(result_s.runs, result_o.runs)):
+        for fieldname in RUN_FIELDS:
+            assert getattr(run_s, fieldname) == getattr(run_o, fieldname), \
+                f"shred {position}: {fieldname}"
+        assert run_s.trace == run_o.trace, f"shred {position}: trace"
+    assert set(surfaces_s) == set(surfaces_o)
+    for name in surfaces_s:
+        assert np.array_equal(surfaces_s[name], surfaces_o[name]), name

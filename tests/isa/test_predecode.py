@@ -142,42 +142,34 @@ def test_cache_stats_snapshot():
 
 
 def test_fused_entries_evict_with_the_program():
-    """Compiled blocks ride the predecode entry's lifetime: when the
-    program dies, its fused entry must go too (no id-reuse leak)."""
-    from repro.gma.fusion import get_fused
+    """Compiled traces ride the predecode entry's lifetime: when the
+    program dies, its trace entry must go too (no id-reuse leak)."""
+    from repro.gma.megaop import ProgramTraces
 
     cache = predecode.PredecodeCache()
     program = _program("iota.16.f vr1\nadd.16.f vr2 = vr1, vr1\nend\n")
     pre = cache.lookup(program)
+    traces = ProgramTraces(program, pre)
+    cache.store_traces(program, traces)
+    assert cache.lookup_traces(program) is traces
+    assert cache.stats()["fused_blocks"] == len(traces.blocks) == 1
 
-    # store/lookup against a private cache (get_fused uses the process
-    # cache, so drive the private one directly with its own compile)
-    from repro.isa.blocks import discover_blocks
-    from repro.gma.fusion import CompiledBlock, FusedProgram
-
-    blocks = discover_blocks(pre, program.labels)
-    fused = FusedProgram({start: CompiledBlock(block, pre)
-                          for start, block in blocks.items()})
-    cache.store_fused(program, fused)
-    assert cache.lookup_fused(program) is fused
-    assert cache.stats()["fused_blocks"] == sum(
-        1 for _ in fused.blocks)
-
-    del program, pre, fused, blocks
+    del program, pre, traces
     gc.collect()
     assert len(cache) == 0
-    assert cache.stats()["fused_blocks"] == 0  # fused entry evicted too
+    assert cache.stats()["fused_blocks"] == 0  # trace entry evicted too
 
 
 def test_fused_store_requires_live_predecode_entry():
-    """store_fused on an uncached program is a no-op: the fused entry
+    """store_traces on an uncached program is a no-op: the trace entry
     would have no eviction anchor."""
-    from repro.gma.fusion import FusedProgram
+    from repro.gma.megaop import ProgramTraces
 
     cache = predecode.PredecodeCache()
     program = _program("iota.16.f vr1\nend\n")
-    cache.store_fused(program, FusedProgram({}))
-    assert cache.lookup_fused(program) is None
+    traces = ProgramTraces(program, predecode.predecode_program(program))
+    cache.store_traces(program, traces)
+    assert cache.lookup_traces(program) is None
 
 
 def test_transformed_program_gets_fresh_cache_entry():
@@ -244,17 +236,21 @@ def test_transformed_id_reuse_never_aliases():
 
 def test_fused_id_reuse_never_leaks():
     """A new Program landing on a dead program's id() must not see the
-    dead program's compiled blocks."""
-    from repro.gma.fusion import get_fused
+    dead program's compiled traces."""
+    from repro.exo.shred import ShredDescriptor
+    from repro.gma.device import GmaDevice
+    from repro.memory.address_space import AddressSpace
 
     asm = "iota.16.f vr1\nend\n"
     predecode.CACHE.clear()
     for _ in range(8):
         program = _program(asm)
-        pre = predecode.CACHE.lookup(program)
-        fused, compiled = get_fused(program, pre)
-        # a stale hit would return the dead program's blocks: compiled
-        # would be 0 without this program ever being compiled
-        assert compiled == len(fused.blocks)
-        del program, pre, fused
+        result = GmaDevice(AddressSpace()).run(
+            [ShredDescriptor(program=program, bindings={})
+             for _ in range(2)])
+        traces = predecode.CACHE.lookup_traces(program)
+        # a stale hit would reuse the dead program's blocks: the run
+        # would compile nothing for a program never compiled before
+        assert result.fusion_compiles == len(traces.blocks) == 1
+        del program, result, traces
         gc.collect()
