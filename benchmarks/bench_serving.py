@@ -20,7 +20,8 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_serving.py --check   # CI gate
 
 or under pytest (``pytest benchmarks/bench_serving.py``).  Writes
-``BENCH_serving.json`` (``--json`` to move); a ``--check`` run writes
+``BENCH_serving.json`` (``--json`` to move), headed by the host it ran
+on (cores, Python, numpy, engine, commit); a ``--check`` run writes
 only to an explicit ``--json`` path, so gating never rewrites the
 committed row.
 """
@@ -33,6 +34,8 @@ import json
 import os
 import sys
 import time
+
+from provenance import host_provenance
 
 from repro.fabric.queue import AdmissionPolicy
 from repro.kernels import kernel_by_abbrev
@@ -320,7 +323,8 @@ def main(argv=None) -> int:
     path = args.json or (None if args.check else "BENCH_serving.json")
     if path:
         with open(path, "w") as handle:
-            json.dump(outcome, handle, indent=2)
+            json.dump({"host": host_provenance(outcome["serving"]["engine"]),
+                       **outcome}, handle, indent=2)
         print(f"wrote {path}")
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:

@@ -222,6 +222,9 @@ class ChiRuntime:
         if feature == "sampler_filter":
             for device in self.platform.fabric.require(target_isa):
                 device.sampler_filter = value
+            # a worker-mode platform's local GMA (the debugger's device)
+            # is not registered in the fabric
+            self.platform.device.sampler.filter_mode = value
         self._features.setdefault(target_isa, {})[feature] = value
 
     def chi_set_feature_pershred(self, target_isa: str, shred_id: int,

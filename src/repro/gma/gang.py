@@ -171,6 +171,10 @@ class GangOutcome(EngineCounters):
     #: broadcastable to the starts, write).  Charged and cleared by
     #: :func:`_replay_charges` once the gang drains.
     span_log: List[tuple] = field(default_factory=list, repr=False)
+    #: ip -> the :class:`_MemPlan` of that memory instruction for the
+    #: gang's current rows (shared by the gang loop and the traces).
+    mem_plans: Dict[int, "_MemPlan"] = field(default_factory=dict,
+                                              repr=False)
 
 
 #: A surviving gang re-compacts into a dense pack only when it keeps at
@@ -569,8 +573,8 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
             if cls == predecode.BATCH_MEM:
                 ok = False
                 try:
-                    ok = _apply_mem_batched(device, pre, grows, gV, gP,
-                                            ctxs, active, recs, config,
+                    ok = _apply_mem_batched(device, ip, pre, grows, gV,
+                                            gP, ctxs, active, recs, config,
                                             outcome)
                 except TlbMiss:
                     # some lane's page is unmapped: the per-shred
@@ -798,8 +802,11 @@ def _apply_alu_batched(pre, rows: np.ndarray, V: np.ndarray, P: np.ndarray,
 # ---------------------------------------------------------------------------
 #
 # The lockstep memory step handles only the fully regular case: every
-# active shred binds the same Surface descriptor, every lane index is in
-# range, and every page the access touches already translates.  Anything
+# active shred binds the same (or a congruent) Surface descriptor, every
+# lane index is in range, and every page the access touches already
+# translates.  What holds for the whole launch is planned once per gang
+# (_MemPlan); each execution generates addresses, translates, moves the
+# data and logs the spans.  Anything
 # else returns False (or lets TlbMiss/ExecutionFault propagate) *before
 # mutating any state* — no register writes, no memory writes, no charge
 # log entries, no accounting — and the caller falls through to
@@ -863,11 +870,12 @@ def _scalar_coord_batched(operand, offset: int, rows, V, P, ctxs, active):
 
 
 def _write_block_batched(dst, rows, values, ty: DataType, n: int,
-                         V: np.ndarray) -> None:
+                         V: np.ndarray, prewrapped: bool = False) -> None:
     """Batched ldblk writeback: ``write_packed`` for ranges (zero-padding
     the trailing lanes of the last register), ``write_lanes`` for a
-    single register (trailing lanes untouched)."""
-    wrapped = ty.wrap(values)
+    single register (trailing lanes untouched).  ``prewrapped`` skips
+    the (then idempotent) ``ty.wrap``."""
+    wrapped = values if prewrapped else ty.wrap(values)
     if isinstance(dst, RangeOperand):
         nregs = -(-n // VLEN)
         k = len(rows)
@@ -888,9 +896,90 @@ def _retire_mem(pre, eff, active, recs, config, outcome) -> bool:
     return True
 
 
-def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
-                       P: np.ndarray, ctxs, active, recs, config,
-                       outcome, account: bool = True) -> bool:
+class _MemPlan:
+    """The launch-invariant half of one lockstep memory instruction.
+
+    Built on the instruction's first execution for the gang's current
+    row array and reused by the gang loop and the compiled traces until
+    gang membership changes, which replaces that array (``rows`` is held,
+    so the identity check cannot alias a recycled array).  ``surf`` is
+    None when the step can never batch for these lanes: a missing or
+    non-congruent binding, or a type mismatch.  ``tmpl`` is the
+    ``(row * pitch + col) * esize`` offset grid of a linear block access
+    and ``row_off`` its first column, None for any other shape.  A plan
+    holds no translation: every execution translates through the TLB and
+    the GTT, where shootdowns reach them.
+    """
+
+    __slots__ = ("rows", "surf", "deltas", "lanes", "tmpl", "row_off")
+
+
+def _mem_plan(outcome, ip: int, pre, rows: np.ndarray, ctxs,
+              active) -> _MemPlan:
+    """The plan of the memory instruction at ``ip`` for this gang."""
+    plan = outcome.mem_plans.get(ip)
+    if plan is not None and plan.rows is rows:
+        return plan
+    plan = outcome.mem_plans[ip] = _MemPlan()
+    plan.rows = rows
+    instr = pre.instr
+    surf, plan.deltas = _gang_surface(instr.srcs[0].surface, ctxs, active)
+    if (surf is not None and pre.opcode is not Opcode.SAMPLE
+            and not _type_ok(surf, instr.dtype)):
+        surf = None  # the sampler path performs no type check
+    plan.surf = surf
+    plan.lanes = np.asarray(active, dtype=np.int64)
+    plan.tmpl = plan.row_off = None
+    if (surf is not None and surf.tiling is TileMode.LINEAR
+            and pre.opcode in (Opcode.LDBLK, Opcode.STBLK)):
+        w, h = instr.block
+        plan.row_off = np.arange(h, dtype=np.int64) * (surf.pitch
+                                                       * surf.esize)
+        plan.tmpl = (plan.row_off[:, None]
+                     + np.arange(w, dtype=np.int64) * surf.esize)
+    return plan
+
+
+def _block_addrs(plan: _MemPlan, x0: np.ndarray, y0: np.ndarray, w: int,
+                 h: int, inside: bool):
+    """Element addresses (lanes x h x w) and per-row charge spans (starts
+    and sizes) of one block step.
+
+    An in-bounds block on a linear surface is its start address plus
+    the plan's offset template.  Any other block takes the edge-clamped
+    grid: consecutive clipped columns cover every element of
+    ``read_block``'s contiguous clamped row reads, so the translated
+    footprint matches scalar exactly, and the spans are clamped as
+    ``surface_read_block`` charges them (for an in-bounds block the
+    clamps are the identity).
+    """
+    surf, deltas = plan.surf, plan.deltas
+    esize = surf.esize
+    if inside and plan.tmpl is not None:
+        start = surf.base + (y0 * surf.pitch + x0) * esize
+        if deltas is not None:
+            start = start + deltas
+        return (start[:, None, None] + plan.tmpl,
+                start[:, None] + plan.row_off, w * esize)
+    col = np.arange(w, dtype=np.int64)[None, None, :]
+    row = np.arange(h, dtype=np.int64)[None, :, None]
+    xs = np.clip(x0[:, None, None] + col, 0, surf.width - 1)
+    ys = np.clip(y0[:, None, None] + row, 0, surf.height - 1)
+    addrs = surf.element_addrs(xs, ys)
+    yy = ys[:, :, 0]
+    lo = surf.element_addrs(np.clip(x0, 0, surf.width - 1)[:, None], yy)
+    hi = surf.element_addrs(
+        np.clip(x0 + w - 1, 0, surf.width - 1)[:, None], yy) + esize
+    if deltas is not None:
+        addrs = addrs + deltas[:, None, None]
+        lo = lo + deltas[:, None]
+        hi = hi + deltas[:, None]
+    return addrs, np.minimum(lo, hi - 1), np.maximum(hi - lo, esize)
+
+
+def _apply_mem_batched(device, ip: int, pre, rows: np.ndarray,
+                       V: np.ndarray, P: np.ndarray, ctxs, active, recs,
+                       config, outcome, account: bool = True) -> bool:
     """One lockstep memory step over every active shred.
 
     Returns True after committing the batched access and its accounting;
@@ -903,18 +992,22 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
     per-shred accounting — a compiled trace charges retired
     instructions in bulk from its precomputed entries instead.
     """
+    plan = _mem_plan(outcome, ip, pre, rows, ctxs, active)
+    surf, deltas = plan.surf, plan.deltas
+    if surf is None:
+        return False
     instr = pre.instr
     op = pre.opcode
     ty = instr.dtype
     n = instr.width
     view = device.view
     phys = device.space.physical
+    esize = surf.esize
+    # the identity on a surface of the instruction's own dtype
+    loaded_wrapped = surf.dtype is ty
 
     if op in (Opcode.LD, Opcode.ST):
         mem = instr.srcs[0]
-        surf, deltas = _gang_surface(mem.surface, ctxs, active)
-        if surf is None or not _type_ok(surf, ty):
-            return False
         index = _scalar_coord_batched(mem.index, mem.offset, rows, V, P,
                                       ctxs, active)
         if index is None:
@@ -923,12 +1016,9 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
             return False  # scalar raises MemorySystemError per shred
         elems = index[:, None] + np.arange(n, dtype=np.int64)
         addrs = surf.element_addrs(elems % surf.width, elems // surf.width)
-        if deltas is not None:
-            addrs = addrs + deltas[:, None]
-        esize = surf.esize
-        lanes = np.asarray(active, dtype=np.int64)
         span_lo = (surf.base + index * esize)[:, None]
         if deltas is not None:
+            addrs = addrs + deltas[:, None]
             span_lo = span_lo + deltas[:, None]
         mask = _batched_guard_mask(instr, rows, n, P)
 
@@ -937,8 +1027,9 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
             values = phys.gather(paddrs, surf.dtype.np_dtype).astype(
                 np.float64)
             _write_masked_batched(instr.dsts[0], rows, values, mask, ty, n,
-                                  V, P, ctxs, active)
-            outcome.span_log.append((lanes, span_lo, n * esize, False))
+                                  V, P, ctxs, active,
+                                  prewrapped=loaded_wrapped)
+            outcome.span_log.append((plan.lanes, span_lo, n * esize, False))
             return (_retire_mem(pre, Effect(), active, recs, config,
                                 outcome) if account else True)
 
@@ -964,97 +1055,56 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
         if mask is not None:
             old = phys.gather(paddrs, surf.dtype.np_dtype).astype(np.float64)
             values = np.where(mask, values, old)
-            outcome.span_log.append((lanes, span_lo, n * esize, False))
+            outcome.span_log.append((plan.lanes, span_lo, n * esize, False))
         phys.scatter(paddrs, np.asarray(values).astype(surf.dtype.np_dtype))
-        outcome.span_log.append((lanes, span_lo, n * esize, True))
+        outcome.span_log.append((plan.lanes, span_lo, n * esize, True))
         return (_retire_mem(pre, Effect(), active, recs, config,
                             outcome) if account else True)
 
     if op in (Opcode.LDBLK, Opcode.STBLK):
         blk = instr.srcs[0]
-        surf, deltas = _gang_surface(blk.surface, ctxs, active)
-        if surf is None or not _type_ok(surf, ty):
-            return False
         x0 = _scalar_coord_batched(blk.x, 0, rows, V, P, ctxs, active)
         y0 = _scalar_coord_batched(blk.y, 0, rows, V, P, ctxs, active)
         if x0 is None or y0 is None:
             return False
         w, h = instr.block
         k = len(active)
-        esize = surf.esize
-        col = np.arange(w, dtype=np.int64)[None, None, :]
-        row = np.arange(h, dtype=np.int64)[None, :, None]
-
-        if op is Opcode.LDBLK:
-            # edge-clamped grid: consecutive clipped columns cover every
-            # element of read_block's contiguous clamped row reads, so
-            # the translated footprint matches scalar exactly
-            xs = np.clip(x0[:, None, None] + col, 0, surf.width - 1)
-            ys = np.clip(y0[:, None, None] + row, 0, surf.height - 1)
-            addrs = surf.element_addrs(xs, ys)
-            if deltas is not None:
-                addrs = addrs + deltas[:, None, None]
+        inside = (int(x0.min()) >= 0 and int(y0.min()) >= 0
+                  and int(x0.max()) + w <= surf.width
+                  and int(y0.max()) + h <= surf.height)
+        store = op is Opcode.STBLK
+        if store and not inside:
+            # block stores never clamp: scalar raises MemorySystemError
+            # per shred
+            return False
+        addrs, span_lo, span_size = _block_addrs(plan, x0, y0, w, h, inside)
+        if store:
+            src = instr.srcs[1]
+            if isinstance(src, RangeOperand):
+                nregs = -(-n // VLEN)
+                values = V[rows, src.start:src.start + nregs, :].reshape(
+                    k, -1)[:, :n]
+            else:
+                values = V[rows, src.reg, :n]
+            typed = np.asarray(ty.wrap(values), dtype=np.float64).reshape(
+                k, h, w).astype(surf.dtype.np_dtype)
+            paddrs = view.translate_batch(addrs, write=True)
+            # flattened scatter order is lane-major = shred queue order,
+            # so duplicate addresses resolve last-writer-wins exactly as
+            # the scalar engine's sequential per-shred stores do
+            phys.scatter(paddrs, typed)
+        else:
             paddrs = view.translate_batch(addrs)
             values = phys.gather(paddrs, surf.dtype.np_dtype).astype(
                 np.float64).reshape(k, h * w)
-            _write_block_batched(instr.dsts[0], rows, values, ty, n, V)
-            # per-row charge spans, clamped as surface_read_block charges
-            yy = np.clip(y0[:, None] + np.arange(h, dtype=np.int64), 0,
-                         surf.height - 1)
-            lo = surf.element_addrs(
-                np.clip(x0, 0, surf.width - 1)[:, None], yy)
-            hi = surf.element_addrs(
-                np.clip(x0 + w - 1, 0, surf.width - 1)[:, None], yy) + esize
-            if deltas is not None:
-                lo = lo + deltas[:, None]
-                hi = hi + deltas[:, None]
-            outcome.span_log.append((np.asarray(active, dtype=np.int64),
-                                     np.minimum(lo, hi - 1),
-                                     np.maximum(hi - lo, esize), False))
-            return (_retire_mem(pre, Effect(), active, recs, config,
-                                outcome) if account else True)
-
-        # STBLK: block stores never clamp — out of bounds is a fault
-        if (int(x0.min()) < 0 or int(y0.min()) < 0
-                or int(x0.max()) + w > surf.width
-                or int(y0.max()) + h > surf.height):
-            return False  # scalar raises MemorySystemError per shred
-        src = instr.srcs[1]
-        if isinstance(src, RangeOperand):
-            nregs = -(-n // VLEN)
-            values = V[rows, src.start:src.start + nregs, :].reshape(
-                k, -1)[:, :n]
-        else:
-            values = V[rows, src.reg, :n]
-        typed = np.asarray(ty.wrap(values), dtype=np.float64).reshape(
-            k, h, w).astype(surf.dtype.np_dtype)
-        xs = x0[:, None, None] + col
-        ys = y0[:, None, None] + row
-        addrs = surf.element_addrs(xs, ys)
-        if deltas is not None:
-            addrs = addrs + deltas[:, None, None]
-        paddrs = view.translate_batch(addrs, write=True)
-        # flattened scatter order is lane-major = shred queue order, so
-        # duplicate addresses resolve last-writer-wins exactly as the
-        # scalar engine's sequential per-shred stores do
-        phys.scatter(paddrs, typed)
-        yy = y0[:, None] + np.arange(h, dtype=np.int64)
-        lo = surf.element_addrs(x0[:, None], yy)
-        hi = surf.element_addrs((x0 + w - 1)[:, None], yy) + esize
-        if deltas is not None:
-            lo = lo + deltas[:, None]
-            hi = hi + deltas[:, None]
-        outcome.span_log.append((np.asarray(active, dtype=np.int64),
-                                 np.minimum(lo, hi - 1),
-                                 np.maximum(hi - lo, esize), True))
+            _write_block_batched(instr.dsts[0], rows, values, ty, n, V,
+                                 prewrapped=loaded_wrapped)
+        outcome.span_log.append((plan.lanes, span_lo, span_size, store))
         return (_retire_mem(pre, Effect(), active, recs, config,
                             outcome) if account else True)
 
     # SAMPLE
     blk = instr.srcs[0]
-    surf, deltas = _gang_surface(blk.surface, ctxs, active)
-    if surf is None:  # the sampler path performs no type check
-        return False
     xs = _read_batched(blk.x, rows, n, V, P, ctxs, active)
     ys = _read_batched(blk.y, rows, n, V, P, ctxs, active)
     sampler = device.sampler
@@ -1080,7 +1130,7 @@ def _apply_mem_batched(device, pre, rows: np.ndarray, V: np.ndarray,
             # lane's box so a page scalar would have faulted on faults
             # here too (and falls back to the exact per-shred path)
             lo = surf.element_addr(int(x0.min()), int(y0.min()))
-            hi = surf.element_addr(int(x1.max()), int(y1.max())) + surf.esize
+            hi = surf.element_addr(int(x1.max()), int(y1.max())) + esize
             if deltas is None:
                 pages = np.arange(lo >> PAGE_SHIFT,
                                   ((hi - 1) >> PAGE_SHIFT) + 1,

@@ -34,10 +34,10 @@ of their program and are evicted with it.
 **Determinism.**  A trace never invents a new result: every specialized
 step reproduces ``_apply_alu_batched``'s arithmetic exactly (same
 float64 compute on wrapped sources, same float32 narrowing, same modular
-integer wrap), memory steps *are* ``_apply_mem_batched`` with only the
-accounting deferred, and the charge concatenates exactly the
-per-instruction ``(issue, latency)`` entries the scalar engine would
-append.  A specialized step that cannot prove its result — an ``f``
+integer wrap), memory steps *are* ``_apply_mem_batched`` (sharing the
+gang loop's memory plans) with only the accounting deferred, and the
+charge concatenates exactly the per-instruction ``(issue, latency)``
+entries the scalar engine would append.  A specialized step that cannot prove its result — an ``f``
 inf, which may be a pass-through or an overflow, or a zero divisor —
 writes nothing, and the executor hands that instruction to
 ``_apply_alu_batched`` in place.  Only when that fails too, or on a
@@ -652,9 +652,10 @@ class TraceRun:
                     return ("fail", st[3], st[4])
             elif code == _MEM:
                 try:
-                    ok = _apply_mem_batched(self.device, st[2], self.rows,
-                                            V, P, self.ctxs, self.active,
-                                            self.recs, self.device.config,
+                    ok = _apply_mem_batched(self.device, st[3], st[2],
+                                            self.rows, V, P, self.ctxs,
+                                            self.active, self.recs,
+                                            self.device.config,
                                             self.outcome, account=False)
                 except (TlbMiss, ExecutionFault):
                     ok = False

@@ -399,19 +399,34 @@ class SequencerView:
         :class:`TlbMiss` carrying *every* missing page, page-aligned —
         the same shape :meth:`prepare_range` raises — so the exoskeleton
         coalesces them into a single ATR batched proxy round trip.  The
-        raise happens before any counter moves: a missed batch is
+        raise happens before any view counter moves (only the TLB's own
+        ``vector_hits`` probe count has): a missed batch is otherwise
         side-effect free.
 
         Unlike the scalar :meth:`translate`, GTT refills do not insert
         into the TLB (a 32-wide batch would churn the whole LRU chain);
         the differential contract covers architectural state and the
         TLB hit/miss split is engine-specific.
+
+        The distinct pages come out sorted either way.  When they span
+        at most four pages per address (every block, row and sampler box
+        of one surface, and most coalesced batches), a mark array over
+        the span finds them without a sort, and a page-to-frame table
+        over the same span maps the batch back; sparser batches take
+        ``np.unique``.
         """
         vaddrs = np.asarray(vaddrs, dtype=np.int64)
-        shape = vaddrs.shape
-        flat = vaddrs.reshape(-1)
-        vpns = flat >> PAGE_SHIFT
-        uniq, inverse = np.unique(vpns, return_inverse=True)
+        vpns = vaddrs.reshape(-1) >> PAGE_SHIFT
+        first = int(vpns.min()) if vpns.size else 0
+        span = int(vpns.max()) + 1 - first if vpns.size else 0
+        if 0 < span <= 4 * vpns.size:
+            rel = vpns - first
+            mark = np.zeros(span, dtype=bool)
+            mark[rel] = True
+            uniq = np.flatnonzero(mark) + first
+        else:
+            rel = None
+            uniq, inverse = np.unique(vpns, return_inverse=True)
         entries, hit = self.tlb.translate_batch(uniq << PAGE_SHIFT,
                                                 write=write)
         if not hit.all():
@@ -435,9 +450,13 @@ class SequencerView:
                           vaddrs=tuple(int(m) for m in missing))
         self.gtt_walks += walked
         self.batched_translations += int(uniq.size)
-        pfns = gtt_pfn_array(entries)
-        return ((pfns[inverse] << PAGE_SHIFT)
-                | (flat & (PAGE_SIZE - 1))).reshape(shape)
+        # paddr = vaddr + ((pfn - vpn) << PAGE_SHIFT): one shift per page
+        delta = (gtt_pfn_array(entries) - uniq) << PAGE_SHIFT
+        if rel is None:
+            return vaddrs + delta[inverse].reshape(vaddrs.shape)
+        table = np.empty(span, dtype=np.int64)
+        table[uniq - first] = delta
+        return vaddrs + table[rel].reshape(vaddrs.shape)
 
     def gather(self, vaddrs: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Batched typed read through the vectorized translation path."""

@@ -79,6 +79,12 @@ class Surface:
     def nelems(self) -> int:
         return self.width * self.height
 
+    @property
+    def contiguous(self) -> bool:
+        """Do the rows sit back to back, so any flat element range is
+        one ranged access?"""
+        return self.tiling is TileMode.LINEAR and self.pitch == self.width
+
     @classmethod
     def alloc(cls, space, name: str, width: int, height: int,
               dtype: DataType, pitch: int = 0,
@@ -114,7 +120,7 @@ class Surface:
     def read_linear(self, accessor, index: int, count: int) -> np.ndarray:
         """Read ``count`` elements starting at flat row-major ``index``."""
         self._check_linear(index, count)
-        if self.tiling is TileMode.LINEAR and self.pitch == self.width:
+        if self.contiguous:
             addr = self.base + index * self.esize
             return accessor.read_array(addr, count, self.dtype.np_dtype).astype(
                 np.float64)
@@ -129,7 +135,7 @@ class Surface:
         values = np.asarray(values)
         self._check_linear(index, values.size)
         typed = values.astype(self.dtype.np_dtype)
-        if self.tiling is TileMode.LINEAR and self.pitch == self.width:
+        if self.contiguous:
             accessor.write_array(self.base + index * self.esize, typed)
             return
         for i in range(values.size):
@@ -243,11 +249,19 @@ class Surface:
             raise MemorySystemError(
                 f"image shape {image.shape} != surface "
                 f"({self.height}, {self.width})")
+        if self.contiguous:
+            # one ranged write, with write_block's float64-then-dtype cast
+            self.write_linear(accessor, 0, np.asarray(
+                image, dtype=np.float64).reshape(-1))
+            return
         for y in range(self.height):
             self.write_block(accessor, 0, y, image[y], self.width, 1)
 
     def download(self, accessor) -> np.ndarray:
         """Read the whole surface as a height x width float64 array."""
+        if self.contiguous:
+            return self.read_linear(accessor, 0, self.nelems).reshape(
+                self.height, self.width)
         out = np.empty((self.height, self.width), dtype=np.float64)
         for y in range(self.height):
             out[y] = self.read_block(accessor, 0, y, self.width, 1)

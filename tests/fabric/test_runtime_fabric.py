@@ -141,6 +141,26 @@ class TestFeatureFanOut:
         for device in rt.platform.gma_devices:
             assert device.gma.sampler.filter_mode == "nearest"
 
+    def test_sampler_filter_reaches_local_device_of_worker_platform(self):
+        """In worker mode ``platform.device`` is a local, unregistered GMA
+        (the debugger's device); the global feature must reach it too,
+        and the platform must leave no worker or segment behind."""
+        import multiprocessing
+        from pathlib import Path
+
+        def leftovers():
+            return ({p.pid for p in multiprocessing.active_children()},
+                    {p.name for p in Path("/dev/shm").glob("psm_*")})
+
+        before = leftovers()
+        with ExoPlatform(fabric_workers=1) as platform:
+            rt = ChiRuntime(platform)
+            rt.chi_set_feature("X3000", "sampler_filter", "nearest")
+            assert platform.device.sampler.filter_mode == "nearest"
+            for device in platform.gma_devices:
+                assert device.sampler_filter == "nearest"
+        assert leftovers() == before
+
     @pytest.mark.parametrize("mode, texel", [("bilinear", 100.0),
                                               ("nearest", 200.0)])
     def test_sampler_filter_reaches_worker_hosted_devices(self, mode, texel):

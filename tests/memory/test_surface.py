@@ -91,6 +91,98 @@ class TestUploadDownload:
         assert np.array_equal(surf.download(space), img)
 
 
+def _upload_per_row(surf, accessor, image):
+    """The row-at-a-time reference the whole-surface path must match."""
+    for y in range(surf.height):
+        surf.write_block(accessor, 0, y, image[y], surf.width, 1)
+
+
+def _download_per_row(surf, accessor):
+    return np.stack([surf.read_block(accessor, 0, y, surf.width, 1)
+                     for y in range(surf.height)])
+
+
+class TestWholeSurfaceTransfers:
+    """A contiguous linear surface moves in one ranged access; pitched
+    and tiled surfaces keep the per-row path.  Either way the data, the
+    demand faults, the frame each page gets and the host's dirty lines
+    match the per-row reference."""
+
+    LAYOUTS = [{}, {"pitch": 707}, {"tiling": TileMode.TILED}]
+
+    @staticmethod
+    def _host(coherent=False, strict=False):
+        from repro.chi.platform import HostAccessor
+        from repro.memory.address_space import AddressSpace
+        from repro.memory.cache import CoherencePoint
+
+        space = AddressSpace()
+        # a non-trivial free list, so frame order is not just sequential
+        scratch = space.alloc(3 * 4096, eager=True)
+        space.free(scratch)
+        return HostAccessor(space, CoherencePoint(coherent=coherent,
+                                                  strict=strict))
+
+    @staticmethod
+    def _state(host, surf):
+        space = host.space
+        first = surf.base >> 12
+        last = (surf.base + surf.nbytes - 1) >> 12
+        # whole PTEs: the frame, and the accessed/dirty bits the walks set
+        frames = [space.page_table.entry(vpn)
+                  for vpn in range(first, last + 1)]
+        return (space.faults_serviced, frames,
+                sorted(host.coherence.cache("cpu")._dirty))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_upload_matches_per_row(self, layout):
+        # 700 floats a row: rows straddle page boundaries
+        img = np.random.default_rng(4).uniform(-9, 9, (9, 700))
+        states, downloads = [], []
+        for upload in (Surface.upload, _upload_per_row):
+            host = self._host()
+            surf = Surface.alloc(host.space, "S", 700, 9, DataType.F,
+                                 **layout)
+            upload(surf, host, img)
+            states.append(self._state(host, surf))
+            downloads.append(_download_per_row(surf, host.space))
+        assert states[0] == states[1]
+        assert states[0][0] > 1 and states[0][2]
+        assert np.array_equal(downloads[0], downloads[1])
+        assert np.array_equal(downloads[0], img.astype(np.float32))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_download_matches_per_row(self, layout):
+        """A fresh surface demand-faults its pages in address order under
+        both paths, then a written one reads back identically."""
+        img = np.random.default_rng(6).integers(0, 256, (9, 700))
+        states, downloads = [], []
+        for download in (Surface.download, _download_per_row):
+            host = self._host()
+            surf = Surface.alloc(host.space, "S", 700, 9, DataType.UB,
+                                 **layout)
+            fresh = download(surf, host)
+            states.append(self._state(host, surf))
+            _upload_per_row(surf, host.space, img)
+            downloads.append((fresh, download(surf, host)))
+        assert states[0] == states[1]
+        assert not downloads[0][0].any()
+        assert np.array_equal(downloads[0][1], downloads[1][1])
+        assert np.array_equal(downloads[0][1], img)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_strict_coherence_still_raises(self, layout):
+        from repro.errors import CoherenceViolation
+
+        host = self._host(strict=True)
+        surf = Surface.alloc(host.space, "S", 700, 9, DataType.F, **layout)
+        surf.upload(host, np.zeros((9, 700)))
+        # the device holds one dirty line in the middle of the surface
+        host.coherence.note_write("gma", surf.base + surf.nbytes // 2, 4)
+        with pytest.raises(CoherenceViolation):
+            surf.download(host)
+
+
 class TestLinearAccess:
     def test_read_write(self, space, img):
         surf = make_surface(space, img)

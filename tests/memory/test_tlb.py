@@ -235,3 +235,86 @@ class TestVectorSnapshot:
         tlb.invalidate(1)
         _, hit = tlb.translate_batch(np.array([1 << 12]))
         assert not hit.any()
+
+
+class TestViewBatchPaths:
+    """``SequencerView.translate_batch`` finds a batch's distinct pages
+    with a mark array when they span at most four pages per address and
+    with ``np.unique`` otherwise; both must answer identically."""
+
+    PAGES = (3, 12, 21, 30, 39)  # 4 and 5 are GTT-only, 6 is unmapped
+
+    @staticmethod
+    def _view(tlb_pages, gtt_pages):
+        from repro.memory.address_space import AddressSpace, SequencerView
+        from repro.memory.gtt import make_gtt_entry
+
+        view = SequencerView(AddressSpace(), Tlb(capacity=8), name="v")
+        for vpn in gtt_pages:
+            view.gtt[vpn] = make_gtt_entry(1000 + 7 * vpn)
+        for vpn in tlb_pages:
+            view.tlb.insert(vpn, make_gtt_entry(1000 + 7 * vpn))
+        return view
+
+    def _translate(self, pages, repeat, tlb_pages, gtt_pages):
+        """Translate ``repeat`` addresses per page; return the physical
+        addresses of the first address of each page, the counter deltas,
+        the miss (if any) and whether ``np.unique`` ran."""
+        from unittest import mock
+
+        import numpy as np
+
+        view = self._view(tlb_pages, gtt_pages)
+        offsets = (np.arange(repeat) * 97) % 4096
+        vaddrs = np.array([(vpn << 12) + off for off in offsets
+                           for vpn in pages], dtype=np.int64)
+        vaddrs = vaddrs.reshape(repeat, len(pages))
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            try:
+                paddrs = view.translate_batch(vaddrs)
+                miss = None
+            except TlbMiss as exc:
+                paddrs, miss = None, exc.vaddrs
+        counters = (view.batched_translations, view.gtt_walks,
+                    view.tlb.vector_hits)
+        first = None if paddrs is None else paddrs[0].tolist()
+        return first, counters, miss, unique.called
+
+    @pytest.mark.parametrize("tlb_pages, gtt_pages", [
+        ((3, 12, 21, 30, 39), ()),            # all TLB hits
+        ((3, 21), (12, 30, 39)),              # TLB hits plus GTT walks
+        ((), (3, 12, 21, 30, 39)),            # all GTT walks
+        ((3,), (12, 39)),                     # 21 and 30 miss
+    ])
+    def test_dense_and_sparse_batches_agree(self, tlb_pages, gtt_pages):
+        # one address per page spans 37 pages for 5 addresses: sparse;
+        # 16 per page spans 37 pages for 80 addresses: dense
+        sparse = self._translate(self.PAGES, 1, tlb_pages, gtt_pages)
+        dense = self._translate(self.PAGES, 16, tlb_pages, gtt_pages)
+        assert sparse[3] and not dense[3]  # each took its path
+        assert sparse[:3] == dense[:3]
+        expected_hits = len(set(tlb_pages) & set(self.PAGES))
+        walked = len(set(gtt_pages) & set(self.PAGES))
+        missing = [vpn << 12 for vpn in self.PAGES
+                   if vpn not in tlb_pages and vpn not in gtt_pages]
+        if missing:
+            # a missed batch moves only the TLB's own probe counter
+            assert dense[2] == tuple(missing)
+            assert dense[1] == (0, 0, expected_hits)
+        else:
+            assert dense[2] is None
+            assert dense[1] == (len(self.PAGES), walked, expected_hits)
+            assert dense[0] == [((1000 + 7 * vpn) << 12)
+                                for vpn in self.PAGES]
+
+    def test_every_address_maps_through_its_own_page(self):
+        import numpy as np
+
+        view = self._view((), self.PAGES)
+        rng = np.random.default_rng(5)
+        pages = rng.choice(self.PAGES, size=(6, 40))
+        vaddrs = (pages << 12) + rng.integers(0, 4096, size=pages.shape)
+        paddrs = view.translate_batch(vaddrs)
+        assert paddrs.shape == vaddrs.shape
+        assert np.array_equal(paddrs >> 12, 1000 + 7 * pages)
+        assert np.array_equal(paddrs & 4095, vaddrs & 4095)
