@@ -44,6 +44,7 @@ import sys
 import time
 
 import numpy as np
+from provenance import host_provenance
 
 from repro.exo.shred import ShredDescriptor
 from repro.gma.device import GmaDevice
@@ -324,7 +325,9 @@ def main(argv=None) -> int:
     path = args.json or (None if args.check else "BENCH_schedule.json")
     if path:
         with open(path, "w") as handle:
-            json.dump(outcome, handle, indent=2)
+            # the table times both engines
+            json.dump({"host": host_provenance("+".join(GmaDevice.ENGINES)),
+                       **outcome}, handle, indent=2)
         print(f"wrote {path}")
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:

@@ -29,9 +29,9 @@ class EngineCounters:
     batched_mem_lanes: int = 0     # memory lanes retired in lockstep
     batched_translations: int = 0  # pages resolved by vectorized translate
     tlb_vector_hits: int = 0       # pages served by the TLB vector snapshot
-    fused_blocks_retired: int = 0  # compiled basic blocks fully retired
+    fused_blocks_retired: int = 0  # compiled blocks/suffixes fully retired
     trace_chains: int = 0          # uniform branches chained block-to-block
-    fusion_compiles: int = 0       # blocks compiled (first-run cost)
+    fusion_compiles: int = 0       # blocks/suffixes compiled (first use)
     megaops_retired: int = 0       # whole-trace traversals retired by megaops
     megaop_compiles: int = 0       # hot cycles promoted to megaops
     megaop_deopts: int = 0         # megaop guard failures (divergence/fault)

@@ -6,38 +6,40 @@ lockstep: one numpy register file with a leading *shred axis* —
 ``V[shred, vreg, lane]`` / ``P[shred, preg, lane]`` — so each decoded
 instruction applies to all active shreds in a single vectorized
 operation instead of N scalar trips through ``semantics.execute``.
-This module is that engine's base tier and owns the gang: the compiled
-traces of :mod:`repro.gma.megaop` (basic blocks and promoted cycles)
-run on its register file and hand control back to its per-instruction
-loop at the precise ip whenever they cannot retire an instruction.
+This module owns the gang and its batched ALU and memory datapaths;
+every batched instruction retires through one executor, the compiled
+traces of :mod:`repro.gma.megaop` (basic blocks, their suffixes and
+promoted cycles).  The gang loop itself keeps only what no trace can
+do: join frames, deferred peels, the runaway cap and the per-shred
+reference step.
 
 The scalar interpreter remains the reference semantics.  Anything the
 gang cannot prove it can batch exactly is *peeled*: the affected shreds
 leave the gang at the divergence point and are handed to
 :class:`~repro.gma.interpreter.ShredInterpreter`, resuming on the same
 register state (their lane views) and the same
-:class:`~repro.gma.interpreter.ShredRun` record.  Peel triggers, per the
-predecode ``batch_class``:
+:class:`~repro.gma.interpreter.ShredRun` record.  Per the predecode
+``batch_class``, an instruction is a *trace step* or a *reference step*:
 
-* **control** — END/NOP/FENCE and *uniform* branches stay ganged; a
-  divergent branch keeps the majority side ganged and routes the rest
-  through *divergence repacking* (see below) when the divergent region
-  is provably pure, else peels them;
-* **batch_mem** — loads, stores and sampler reads stay ganged: lane
-  addresses are computed on the batched register file, translated in one
-  vectorized call and moved with one numpy gather/scatter; any
-  irregularity (a lane whose page misses, a non-uniform surface binding,
-  out-of-range indices) abandons the batched attempt *before any state
-  changes* and re-runs the instruction through the per-shred reference
-  step below;
-* **per_shred** — non-batchable memory shapes and sampler traffic
-  execute through the scalar ``semantics.execute`` per shred while the
-  gang stays resident; a ``TlbMiss`` peels the missing shred *and
-  everything behind it in queue order*, and a CEH fault peels just the
-  faulting shred;
-* **alu** — one batched numpy step; a batch-level fault (divide-by-zero,
-  float overflow, unresolvable symbol) re-runs the step per shred, which
-  reproduces the architectural per-shred fault;
+* **control** (trace step) — END/NOP/FENCE and *uniform* branches stay
+  ganged; a divergent branch keeps the majority side ganged and routes
+  the rest through *divergence repacking* (see below) when the
+  divergent region is provably pure, else peels them;
+* **batch_mem** (trace step) — loads, stores and sampler reads stay
+  ganged: lane addresses are computed on the batched register file,
+  translated in one vectorized call and moved with one numpy
+  gather/scatter; any irregularity (a lane whose page misses, a
+  non-uniform surface binding, out-of-range indices) abandons the
+  batched attempt *before any state changes* and re-runs the
+  instruction through the per-shred reference step below;
+* **alu** (trace step) — one batched numpy step; a batch-level fault
+  (divide-by-zero, float overflow, unresolvable symbol) re-runs the
+  step per shred, which reproduces the architectural per-shred fault;
+* **per_shred** (reference step) — non-batchable memory shapes and
+  sampler traffic execute through the scalar ``semantics.execute`` per
+  shred while the gang stays resident; a ``TlbMiss`` peels the missing
+  shred *and everything behind it in queue order*, and a CEH fault
+  peels just the faulting shred;
 * **peel_all** — SPAWN peels every resident shred at the spawn point.
 
 Divergence is a transient, not a death sentence.  Every divergable
@@ -46,17 +48,16 @@ branch carries its immediate post-dominator from predecode
 (``repackable``): when the region between the branch and the join
 contains no ordered side effect (no ``peel_all`` instruction), the
 losing side *parks* as a suspended sub-gang instead of peeling.  The
-surviving majority compacts into a dense register-file pack (no holes:
-batched steps stay full width) and runs to the join, where it suspends;
-each parked sub-gang then runs its arm in lockstep the same way; when
-the last one reports, all arrivals merge their register state back into
-the lane slots and continue as one re-formed gang — *re-admission*
-(counted by ``gang_repacks`` / ``lanes_readmitted``).  Ordering stays
-scalar-identical because nothing order-dependent ever executes while
-ganged (the lemma below): a suspended lane that *would* emit an ordered
-side effect — SPAWN, an ATR service, a CEH proxy — still peels exactly
-as before, either statically (the region is not ``repackable``) or
-dynamically (the sub-gang's own peel rules fire mid-arm).
+surviving majority runs on its own rows of the register file to the
+join, where it suspends; each parked sub-gang then runs its arm in
+lockstep the same way; when the last one reports, all arrivals continue
+as one re-formed gang — *re-admission* (counted by ``gang_repacks`` /
+``lanes_readmitted``).  Ordering stays scalar-identical because nothing
+order-dependent ever executes while ganged (the lemma below): a
+suspended lane that *would* emit an ordered side effect — SPAWN, an ATR
+service, a CEH proxy — still peels exactly as before, either statically
+(the region is not ``repackable``) or dynamically (the sub-gang's own
+peel rules fire mid-arm).
 
 Peels are **deferred**: a peeled shred does not run at the peel point —
 it is queued with its resume ip and executed to completion only after
@@ -93,7 +94,6 @@ import numpy as np
 from ..errors import ExecutionFault, TlbMiss
 from ..exo.shred import ShredDescriptor, ShredState
 from ..isa import predecode, semantics
-from ..isa.instructions import Effect
 from ..isa.opcodes import Opcode
 from ..isa.operands import (
     ImmOperand,
@@ -172,16 +172,9 @@ class GangOutcome(EngineCounters):
     #: :func:`_replay_charges` once the gang drains.
     span_log: List[tuple] = field(default_factory=list, repr=False)
     #: ip -> the :class:`_MemPlan` of that memory instruction for the
-    #: gang's current rows (shared by the gang loop and the traces).
+    #: gang's current rows.
     mem_plans: Dict[int, "_MemPlan"] = field(default_factory=dict,
                                               repr=False)
-
-
-#: A surviving gang re-compacts into a dense pack only when it keeps at
-#: most this fraction of the launch's lanes: small holes don't pay for
-#: the copy (fancy-indexed rows on the root arrays are nearly as fast),
-#: large holes do — and the pack shrinks with the survivor set.
-REPACK_DENSITY = 0.75
 
 
 @dataclass
@@ -225,17 +218,6 @@ def gang_eligible(device, shreds: Sequence[ShredDescriptor]) -> bool:
     return predecode.lookup(program).gangable
 
 
-def branch_taken(instr, P: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per gang row: does this JMP/BR go to its target?  A guarded
-    branch is taken when any lane of its predicate is set (none, for
-    ``!p``)."""
-    if instr.opcode is Opcode.JMP and instr.pred is None:
-        return np.ones(len(rows), dtype=bool)
-    guard = instr.pred
-    any_lane = P[rows, guard.index, :].any(axis=1)
-    return ~any_lane if guard.negate else any_lane
-
-
 def split_divergence(taken: np.ndarray, active: List[int], branch_ip: int,
                      taken_ip: int, fall_ip: int,
                      diverge) -> Tuple[int, List[int]]:
@@ -261,10 +243,11 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
              live_contexts: Dict[int, ShredContext]) -> GangOutcome:
     """Execute a homogeneous batch in lockstep; returns runs in order.
 
-    Compiled traces (:mod:`repro.gma.megaop`) retire whole basic
-    blocks, chained through uniform branches, and whole traversals of
-    promoted hot cycles; this per-instruction loop owns every ip they
-    hand back, peeling what it cannot batch to the scalar interpreter.
+    Compiled traces (:mod:`repro.gma.megaop`) retire every batched
+    instruction: whole basic blocks, chained through uniform branches,
+    and whole traversals of promoted hot cycles.  This loop keeps only
+    what no trace can do: join frames, deferred peels, the runaway cap
+    and the per-shred reference step.
     """
     program = shreds[0].program
     pre_prog = predecode.lookup(program)
@@ -306,24 +289,16 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
     frames: List[_JoinFrame] = []
     ip = shreds[0].entry
 
-    # Current gang register storage: the root arrays, or a dense pack
-    # built by ``adopt`` (no holes, so batched steps stay full width).
-    # ``lane_row`` maps shred index -> row of the current storage; None
-    # means the root arrays, where the row *is* the shred index.  The
-    # root arrays stay canonical for every lane outside the running gang
-    # — peeled shreds execute through their GangLaneRegs views — so a
-    # pack syncs out before a lane leaves the gang and syncs in after
-    # scalar semantics touch a resident lane.
-    gV, gP = V, P
-    lane_row: Optional[Dict[int, int]] = None
-    grows = np.arange(count, dtype=np.int64)
+    #: Rows of ``V``/``P`` the running gang occupies: its shred indices.
+    #: A sub-gang runs on its own rows of the root arrays, so they stay
+    #: canonical for every lane, ganged or peeled.
+    rows = np.arange(count, dtype=np.int64)
     #: Lane holding the gang's highest instruction count.  Resident
     #: lanes advance in lockstep, so the argmax only moves when gang
     #: membership changes; the runaway cap check stays O(1) per step.
     lead = 0
     from_parked = False   # is the current gang a re-activated sub-gang?
     gang_mixed = False    # unequal per-lane instruction counts?
-    repack_pending = False
 
     def finish_one(i: int) -> None:
         finish_run(recs[i], config)
@@ -331,57 +306,14 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
         live_contexts.pop(shreds[i].shred_id, None)
 
     def rebuild_rows() -> None:
-        nonlocal grows, lead
-        if lane_row is None:
-            grows = np.asarray(active, dtype=np.int64)
-        else:
-            grows = np.asarray([lane_row[i] for i in active],
-                               dtype=np.int64)
+        nonlocal rows, lead
+        rows = np.asarray(active, dtype=np.int64)
         lead = max(active, key=lambda i: recs[i].instructions)
-
-    def sync_out(lanes: Sequence[int]) -> None:
-        """Copy lanes' registers from the pack back to the root arrays."""
-        if lane_row is None or not lanes:
-            return
-        rows = np.asarray([lane_row[i] for i in lanes])
-        idx = np.asarray(lanes)
-        V[idx] = gV[rows]
-        P[idx] = gP[rows]
-
-    def sync_in(lanes: Sequence[int]) -> None:
-        """Refresh pack rows from the root arrays after scalar steps."""
-        if lane_row is None or not lanes:
-            return
-        rows = np.asarray([lane_row[i] for i in lanes])
-        idx = np.asarray(lanes)
-        gV[rows] = V[idx]
-        gP[rows] = P[idx]
-
-    def adopt(lanes: Sequence[int], parked_origin: bool,
-              mixed: bool) -> None:
-        """Point the gang at ``lanes``, whose register state sits in the
-        root arrays; compact into a dense pack when the survivor set is
-        sparse enough that full-width batched steps pay for the copy."""
-        nonlocal gV, gP, lane_row, from_parked, gang_mixed, repack_pending
-        repack_pending = False
-        from_parked = parked_origin
-        gang_mixed = mixed
-        if len(lanes) > REPACK_DENSITY * count:
-            gV, gP = V, P
-            lane_row = None
-        else:
-            idx = np.asarray(lanes)
-            gV = V[idx]   # advanced indexing: a dense copy
-            gP = P[idx]
-            lane_row = {i: pos for pos, i in enumerate(lanes)}
-        rebuild_rows()
 
     def defer(pairs: Sequence[Tuple[int, int]]) -> None:
         """Queue (shred index, resume ip) pairs for the deferred phase."""
-        sync_out([i for i, _ in pairs])
-        for pair in pairs:
-            outcome.scalar_fallbacks += 1
-            pending.append(pair)
+        outcome.scalar_fallbacks += len(pairs)
+        pending.extend(pairs)
 
     def diverge(branch_ip: int, exit_ip: int, lanes: List[int]) -> None:
         """Route a divergence's losing side.
@@ -389,27 +321,23 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
         When the branch's divergent region is pure (a static ``reconv``
         join with no ordered side effects), the losers suspend as a
         sub-gang that will run the region in lockstep and be re-admitted
-        at the join; the caller's surviving majority is re-compacted by
-        the main loop (``repack_pending``).  Otherwise the losers take
-        the deferred peel exactly as before — the ordering lemma of the
-        module docstring only covers lanes that either stay ganged on
-        pure work or retire through the deferred queue.
+        at the join.  Otherwise the losers take the deferred peel — the
+        ordering lemma of the module docstring only covers lanes that
+        either stay ganged on pure work or retire through the deferred
+        queue.
         """
-        nonlocal repack_pending
         if not lanes:
             return
         pre = pre_prog.instrs[branch_ip]
         if pre.repackable and pre.reconv is not None:
-            sync_out(active)  # snapshot every lane; survivors re-adopt
             frames.append(_JoinFrame(
                 join=pre.reconv,
                 parked=[(list(lanes), exit_ip, gang_mixed)]))
-            repack_pending = True
         else:
             defer([(i, exit_ip) for i in lanes])
 
-    def step_per_shred(rows: List[int]) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """One instruction through scalar semantics for each row.
+    def step_per_shred(lanes: List[int]) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """One instruction through scalar semantics for each lane.
 
         Returns (survivors, peel pairs).  A TlbMiss peels the missing
         shred — before the miss is serviced — and everything behind it
@@ -419,11 +347,11 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
         survivors: List[int] = []
         faulted: List[int] = []
         trailing: List[int] = []
-        for k, i in enumerate(rows):
+        for k, i in enumerate(lanes):
             try:
                 eff = semantics.execute(program, ip, ctxs[i])
             except TlbMiss:
-                trailing = rows[k:]
+                trailing = lanes[k:]
                 break
             except ExecutionFault:
                 faulted.append(i)
@@ -435,14 +363,11 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
         pairs = [(j, ip) for j in sorted(faulted + trailing)]
         return survivors, pairs
 
-    # per-run symbol memo: bindings are frozen at spawn, so each shred's
-    # symbol resolves once per run instead of once per read
-    symcache: Dict[str, tuple] = {}
     # deferred import: the compiled traces reuse this module's batched
     # datapaths
     from .megaop import TraceRun
-    tracer = TraceRun(device, program, pre_prog, ctxs, recs, outcome,
-                      symcache)
+    tracer = TraceRun(device, program, pre_prog, V, P, ctxs, recs, outcome,
+                      finish_one, diverge)
 
     try:
         while True:
@@ -453,7 +378,6 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 # back into a single gang at the join: re-admission
                 frame = frames[-1]
                 if active:
-                    sync_out(active)
                     frame.arrived.extend(active)
                     frame.sources += 1
                     frame.mixed |= gang_mixed
@@ -461,10 +385,10 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                         frame.readmitted += len(active)
                     active = []
                 if frame.parked:
-                    lanes, entry, mixed = frame.parked.pop(0)
+                    lanes, ip, gang_mixed = frame.parked.pop(0)
                     active = list(lanes)
-                    ip = entry
-                    adopt(active, parked_origin=True, mixed=mixed)
+                    from_parked = True
+                    rebuild_rows()
                     continue
                 frames.pop()
                 if frame.readmitted:
@@ -473,18 +397,16 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 active = sorted(frame.arrived)
                 ip = frame.join
                 if active:
-                    adopt(active, parked_origin=False,
-                          mixed=frame.mixed or frame.sources > 1)
+                    from_parked = False
+                    gang_mixed = frame.mixed or frame.sources > 1
+                    rebuild_rows()
                     # the merged gang is a fresh trace head: profile
                     # (and promote) from the join instead of deopting
                     # for the rest of the launch
                     tracer.reset()
             if not active:
                 break
-            if repack_pending:
-                repack_pending = False
-                adopt(active, parked_origin=from_parked, mixed=gang_mixed)
-            elif len(active) != len(grows):
+            if len(active) != len(rows):
                 rebuild_rows()
             if ip >= ninstr:  # ran off the end: finish without accounting
                 for i in active:
@@ -499,104 +421,25 @@ def run_gang(device, shreds: Sequence[ShredDescriptor],
                 defer([(i, ip) for i in active])
                 active = []
                 continue
-            traced = tracer.run(ip, active, gV, gP, grows, finish_one,
-                                diverge, frames[-1].join if frames else None)
+            traced = tracer.run(ip, active, rows,
+                                frames[-1].join if frames else None)
             if traced is not None:
                 ip, active = traced
                 continue
-            pre = pre_prog.instrs[ip]
-            cls = pre.batch_class
-            if cls != predecode.BATCH_MEM:
-                # only batched memory retirements extend a recorded
-                # trace; any other per-instruction handling breaks it
-                tracer.reset()
-
-            if cls == predecode.BATCH_CONTROL:
-                op = pre.opcode
-                if op is Opcode.END:
-                    eff = Effect()
-                    eff.ended = True
-                    for i in active:
-                        account_instruction(recs[i], pre.instr, eff, config)
-                    outcome.gang_lanes_retired += len(active)
-                    for i in active:
-                        finish_one(i)
-                    active = []
-                    continue
-                if op in (Opcode.NOP, Opcode.FENCE):
-                    eff = Effect()
-                    for i in active:
-                        account_instruction(recs[i], pre.instr, eff, config)
-                    outcome.gang_lanes_retired += len(active)
-                    ip += 1
-                    continue
-                # JMP / BR with a predecoded target
-                taken = branch_taken(pre.instr, gP, grows)
-                eff = Effect()  # trace entry is branch-direction independent
-                for i in active:
-                    account_instruction(recs[i], pre.instr, eff, config)
-                outcome.gang_lanes_retired += len(active)
-                if taken.all():
-                    ip = pre.target
-                    continue
-                if not taken.any():
-                    ip += 1
-                    continue
-                ip, active = split_divergence(taken, active, ip,
-                                              pre.target, ip + 1, diverge)
-                continue
-
-            if cls == predecode.BATCH_PEEL:
-                # SPAWN (and defensive cases): every resident shred peels
-                # before the spawn executes, so the deferred queue-order
-                # replay assigns child shred ids exactly as scalar would
+            tracer.reset()
+            if pre_prog.instrs[ip].batch_class in (predecode.BATCH_PEEL,
+                                                   predecode.BATCH_CONTROL):
+                # no trace retires a peel, and a control op stops one
+                # only at the runaway budget: every lane defers, so the
+                # queue-order replay assigns SPAWN child ids and raises
+                # the runaway fault exactly as scalar would
                 defer([(i, ip) for i in active])
                 active = []
                 continue
-
-            if cls == predecode.BATCH_ALU:
-                ok = False
-                try:
-                    ok = _apply_alu_batched(pre, grows, gV, gP, ctxs,
-                                            active, symcache)
-                except ExecutionFault:
-                    ok = False  # re-run per shred for the precise fault
-                if ok:
-                    eff = Effect()
-                    for i in active:
-                        account_instruction(recs[i], pre.instr, eff, config)
-                    outcome.gang_lanes_retired += len(active)
-                    ip += 1
-                    continue
-                # fall through to the per-shred reference step
-
-            if cls == predecode.BATCH_MEM:
-                ok = False
-                try:
-                    ok = _apply_mem_batched(device, ip, pre, grows, gV,
-                                            gP, ctxs, active, recs, config,
-                                            outcome)
-                except TlbMiss:
-                    # some lane's page is unmapped: the per-shred
-                    # reference step peels the miss in queue order
-                    ok = False
-                except ExecutionFault:
-                    ok = False
-                if ok:
-                    tracer.note(ip, "m")
-                    ip += 1
-                    continue
-                # fall through to the per-shred reference step
-
-            tracer.reset()
-            # scalar semantics write through the lane views into the
-            # root arrays, so a pack syncs out first and refreshes the
-            # survivors' rows afterwards
-            sync_out(active)
-            survivors, pairs = step_per_shred(list(active))
+            # the per-shred reference step: scalar semantics write
+            # through the lane views into the root arrays
+            active, pairs = step_per_shred(active)
             defer(pairs)
-            sync_in(survivors)
-            active = survivors
             ip += 1
 
         # deferred phase: every peeled shred now runs to completion in
@@ -647,17 +490,15 @@ def _read_batched(operand, rows: np.ndarray, n: int, V: np.ndarray,
                          np.zeros(len(ctxs), dtype=bool))
                 symcache[operand.name] = entry
             vals, filled = entry
-            # the cache is indexed by shred; on a dense sub-gang pack
-            # the rows are pack-relative, so gather by lane instead
-            lanes = rows if V.shape[0] == len(ctxs) else np.asarray(active)
-            if not filled[lanes].all():
+            # the cache is indexed by shred, as the rows are
+            if not filled[rows].all():
                 # resolve misses in queue order so an unbound symbol
                 # faults on exactly the shred the scalar engine blames
                 for i in active:
                     if not filled[i]:
                         vals[i] = ctxs[i].resolve_symbol(operand.name)
                         filled[i] = True
-            return np.repeat(vals[lanes], n).reshape(len(rows), n)
+            return np.repeat(vals[rows], n).reshape(len(rows), n)
         out = np.empty((len(rows), n), dtype=np.float64)
         for j, i in enumerate(active):
             out[j, :] = ctxs[i].resolve_symbol(operand.name)
@@ -809,8 +650,8 @@ def _apply_alu_batched(pre, rows: np.ndarray, V: np.ndarray, P: np.ndarray,
 # data and logs the spans.  Anything
 # else returns False (or lets TlbMiss/ExecutionFault propagate) *before
 # mutating any state* — no register writes, no memory writes, no charge
-# log entries, no accounting — and the caller falls through to
-# step_per_shred, whose scalar semantics reproduce the precise
+# log entries, no accounting — and the gang falls through to its
+# per-shred reference step, whose scalar semantics reproduce the precise
 # architectural behaviour (queue-order ATR peels, per-shred faults,
 # MemorySystemError crashes).  That ordering discipline is what keeps the
 # fast path bit-identical: it only ever commits accesses that scalar
@@ -887,22 +728,14 @@ def _write_block_batched(dst, rows, values, ty: DataType, n: int,
         V[rows, dst.reg, :n] = wrapped
 
 
-def _retire_mem(pre, eff, active, recs, config, outcome) -> bool:
-    """Account one batched memory instruction for every active shred."""
-    for i in active:
-        account_instruction(recs[i], pre.instr, eff, config)
-    outcome.gang_lanes_retired += len(active)
-    outcome.batched_mem_lanes += len(active)
-    return True
-
-
 class _MemPlan:
     """The launch-invariant half of one lockstep memory instruction.
 
     Built on the instruction's first execution for the gang's current
-    row array and reused by the gang loop and the compiled traces until
-    gang membership changes, which replaces that array (``rows`` is held,
-    so the identity check cannot alias a recycled array).  ``surf`` is
+    row array and reused by the compiled traces until gang membership
+    changes, which replaces that array (``rows`` is held, so the identity
+    check cannot alias a recycled array, and names the lanes of the
+    step's span records).  ``surf`` is
     None when the step can never batch for these lanes: a missing or
     non-congruent binding, or a type mismatch.  ``tmpl`` is the
     ``(row * pitch + col) * esize`` offset grid of a linear block access
@@ -911,7 +744,7 @@ class _MemPlan:
     the GTT, where shootdowns reach them.
     """
 
-    __slots__ = ("rows", "surf", "deltas", "lanes", "tmpl", "row_off")
+    __slots__ = ("rows", "surf", "deltas", "tmpl", "row_off")
 
 
 def _mem_plan(outcome, ip: int, pre, rows: np.ndarray, ctxs,
@@ -928,7 +761,6 @@ def _mem_plan(outcome, ip: int, pre, rows: np.ndarray, ctxs,
             and not _type_ok(surf, instr.dtype)):
         surf = None  # the sampler path performs no type check
     plan.surf = surf
-    plan.lanes = np.asarray(active, dtype=np.int64)
     plan.tmpl = plan.row_off = None
     if (surf is not None and surf.tiling is TileMode.LINEAR
             and pre.opcode in (Opcode.LDBLK, Opcode.STBLK)):
@@ -978,19 +810,16 @@ def _block_addrs(plan: _MemPlan, x0: np.ndarray, y0: np.ndarray, w: int,
 
 
 def _apply_mem_batched(device, ip: int, pre, rows: np.ndarray,
-                       V: np.ndarray, P: np.ndarray, ctxs, active, recs,
-                       config, outcome, account: bool = True) -> bool:
+                       V: np.ndarray, P: np.ndarray, ctxs, active,
+                       outcome) -> bool:
     """One lockstep memory step over every active shred.
 
-    Returns True after committing the batched access and its accounting;
+    Returns True after committing the batched access — the compiled
+    trace charges the retired instruction from its precomputed entries;
     False (with nothing mutated) to fall back to the per-shred reference
     step.  A ``TlbMiss`` from the vectorized translation propagates to
     the caller for the same fallback — translation happens before any
     writeback, so the abandoned attempt is side-effect free.
-
-    ``account=False`` commits the data-path effects but skips the
-    per-shred accounting — a compiled trace charges retired
-    instructions in bulk from its precomputed entries instead.
     """
     plan = _mem_plan(outcome, ip, pre, rows, ctxs, active)
     surf, deltas = plan.surf, plan.deltas
@@ -1029,9 +858,8 @@ def _apply_mem_batched(device, ip: int, pre, rows: np.ndarray,
             _write_masked_batched(instr.dsts[0], rows, values, mask, ty, n,
                                   V, P, ctxs, active,
                                   prewrapped=loaded_wrapped)
-            outcome.span_log.append((plan.lanes, span_lo, n * esize, False))
-            return (_retire_mem(pre, Effect(), active, recs, config,
-                                outcome) if account else True)
+            outcome.span_log.append((plan.rows, span_lo, n * esize, False))
+            return True
 
         # ST
         values = ty.wrap(_read_batched(instr.srcs[1], rows, n, V, P, ctxs,
@@ -1055,11 +883,10 @@ def _apply_mem_batched(device, ip: int, pre, rows: np.ndarray,
         if mask is not None:
             old = phys.gather(paddrs, surf.dtype.np_dtype).astype(np.float64)
             values = np.where(mask, values, old)
-            outcome.span_log.append((plan.lanes, span_lo, n * esize, False))
+            outcome.span_log.append((plan.rows, span_lo, n * esize, False))
         phys.scatter(paddrs, np.asarray(values).astype(surf.dtype.np_dtype))
-        outcome.span_log.append((plan.lanes, span_lo, n * esize, True))
-        return (_retire_mem(pre, Effect(), active, recs, config,
-                            outcome) if account else True)
+        outcome.span_log.append((plan.rows, span_lo, n * esize, True))
+        return True
 
     if op in (Opcode.LDBLK, Opcode.STBLK):
         blk = instr.srcs[0]
@@ -1099,9 +926,8 @@ def _apply_mem_batched(device, ip: int, pre, rows: np.ndarray,
                 np.float64).reshape(k, h * w)
             _write_block_batched(instr.dsts[0], rows, values, ty, n, V,
                                  prewrapped=loaded_wrapped)
-        outcome.span_log.append((plan.lanes, span_lo, span_size, store))
-        return (_retire_mem(pre, Effect(), active, recs, config,
-                            outcome) if account else True)
+        outcome.span_log.append((plan.rows, span_lo, span_size, store))
+        return True
 
     # SAMPLE
     blk = instr.srcs[0]
@@ -1161,12 +987,7 @@ def _apply_mem_batched(device, ip: int, pre, rows: np.ndarray,
     _write_masked_batched(instr.dsts[0], rows, values, None, ty, n, V, P,
                           ctxs, active)
     sampler.samples += len(active) * n
-    if not account:
-        return True
-    eff = Effect()
-    eff.used_sampler = True
-    eff.bytes_read = n * ty.size
-    return _retire_mem(pre, eff, active, recs, config, outcome)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,50 +1,54 @@
-"""Compiled traces: the megaop engine's block and cycle tiers.
+"""Compiled traces: the megaop engine's one executor.
 
-The gang loop (:mod:`repro.gma.gang`) batches *lanes* per instruction
-but still pays one Python dispatch round — batch-class switch,
-guard-mask build, one ``account_instruction`` call per shred — for
-every instruction.  This module amortizes that round with one trace
-compiler and two trace shapes:
+Every batched instruction of a gang (:mod:`repro.gma.gang`) — ALU,
+memory and control — retires here, through one trace compiler and three
+trace shapes:
 
 * a **block** — one basic block of
   :func:`repro.isa.blocks.discover_blocks`, compiled once per program
   and retired in one dispatch, *chaining* through its terminating
   branch whenever the branch resolves identically across every active
   lane (the common case for counted loops);
+* a **suffix** — the rest of a block from a mid-block ip, compiled on
+  first use, where the gang re-enters the block after a step that
+  could not batch;
 * a **cycle** — a hot loop: its blocks' items concatenated with a back
   edge, promoted after :data:`PROMOTE_THRESHOLD` recorded traversals
   and retired many whole traversals per Python call.
 
-Both compile to the same :class:`Trace`: per-instruction items that
+All compile to the same :class:`Trace`: per-instruction items that
 :func:`_emit_steps` turns into specialized step closures (operand
 slices, wrapped immediates and the per-dtype writeback precomputed),
 plus prefix-summed charges, so any retired prefix costs one
-``list.extend`` per shred.  A block compiles from an empty wrap map; a
-cycle compiles twice, once for its first traversal and once for the
-steady state, where registers the previous traversal wrote are known
-wrapped and reads skip the idempotent re-wrap.
+``list.extend`` per shred.  A block or suffix compiles from an empty
+wrap map; a cycle compiles twice, once for its first traversal and once
+for the steady state, where registers the previous traversal wrote are
+known wrapped and reads skip the idempotent re-wrap.
 
 Promotion is profile guided: each run's :class:`TraceRun` notes every
-uniform block exit (taken ``"t"``, fall ``"f"``, fall-through ``"x"``)
-and every batched memory retirement (``"m"``).  When the note stream
-revisits an ip, the window between the two visits is a cycle.  Traces
-live in the id-keyed :class:`~repro.isa.predecode.PredecodeCache` slot
-of their program and are evicted with it.
+uniform block exit (taken ``"t"``, fall ``"f"``, fall-through ``"x"``).
+When the note stream revisits an ip, the window between the two visits
+is a cycle.  Traces live in the id-keyed
+:class:`~repro.isa.predecode.PredecodeCache` slot of their program and
+are evicted with it.
 
 **Determinism.**  A trace never invents a new result: every specialized
 step reproduces ``_apply_alu_batched``'s arithmetic exactly (same
 float64 compute on wrapped sources, same float32 narrowing, same modular
 integer wrap), memory steps *are* ``_apply_mem_batched`` (sharing the
-gang loop's memory plans) with only the accounting deferred, and the
-charge concatenates exactly the per-instruction ``(issue, latency)``
-entries the scalar engine would append.  A specialized step that cannot prove its result — an ``f``
+gang's memory plans), and the charge concatenates exactly the
+per-instruction ``(issue, latency)`` entries the scalar engine would
+append.  A specialized step that cannot prove its result — an ``f``
 inf, which may be a pass-through or an overflow, or a zero divisor —
 writes nothing, and the executor hands that instruction to
 ``_apply_alu_batched`` in place.  Only when that fails too, or on a
 divergent branch, a memory step that cannot batch, or the runaway cap,
 does the trace stop: it charges only the instructions already retired
-and returns control at the precise ip to the per-instruction loop,
-whose per-shred reference step reproduces the architectural behaviour.
+and returns control at the precise ip to the gang, which re-attempts
+the failing step at the head of its suffix and, when that fails again
+(writing nothing), takes the per-shred reference step that reproduces
+the architectural behaviour.  The deopt chain is therefore cycle →
+block → suffix → reference step.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ from .interpreter import MAX_INSTRUCTIONS, trace_entry
 
 #: Recorded traversals of one cycle before it compiles.
 PROMOTE_THRESHOLD = 8
-#: Recorder window cap: a cycle longer than this many block/mem events
-#: never closes (it would not amortize its compile anyway).
+#: Recorder window cap: a cycle longer than this many block exits never
+#: closes (it would not amortize its compile anyway).
 MAX_CYCLE_STEPS = 64
 #: Instruction cap per compiled cycle (keeps the per-exit charge tuples
 #: and the runaway granularity bounded).
@@ -80,7 +84,8 @@ _BR = 2
 
 
 class Trace:
-    """One compiled trace: a basic block, or a promoted cycle.
+    """One compiled trace: a basic block, a block suffix, or a promoted
+    cycle.
 
     ``items`` are ``(kind, pre, ip, expect)`` per instruction, ``kind``
     one of ``"alu"``, ``"mem"``, ``"pad"`` (no datapath: charge only)
@@ -101,29 +106,47 @@ class Trace:
 class ProgramTraces:
     """Every trace of one program: its predecode-cache slot.
 
-    Construction compiles every basic block; cycles compile as they
-    promote.  Mutated without a lock: concurrent fabric drains can at
-    worst double-count a cycle or compile the same cycle twice, and
-    both compiles are identical, so last-store-wins is benign.
+    Construction compiles every basic block; suffixes compile on first
+    use and cycles as they promote.  Mutated without a lock: concurrent
+    fabric drains can at worst double-count a cycle or compile the same
+    trace twice, and both compiles are identical, so last-store-wins is
+    benign.
     """
 
-    __slots__ = ("pre_prog", "blocks", "cycles", "counts", "dead")
+    __slots__ = ("blocks", "leader_of", "cycles", "counts", "dead")
 
     def __init__(self, program, pre_prog):
-        self.pre_prog = pre_prog
-        #: leader ip -> compiled block.
+        #: entry ip -> compiled block (keyed by its leader) or suffix.
         self.blocks: Dict[int, Trace] = {}
+        #: every non-leader ip inside a block -> that block's leader.
+        self.leader_of: Dict[int, int] = {}
         for start, block in discover_blocks(pre_prog,
                                             program.labels).items():
             items, exit_ip, tag = _block_items(block, pre_prog)
             trace = self.blocks[start] = _compile(items, start)
             trace.exit, trace.tag = exit_ip, tag
-        #: head ip -> promoted cycle (probed every gang-loop iteration).
+            self.leader_of.update(dict.fromkeys(range(start + 1, block.end),
+                                                start))
+        #: head ip -> promoted cycle (probed on every chain-loop entry).
         self.cycles: Dict[int, Trace] = {}
         #: (head ip, recorded cycle) -> traversals recorded so far.
         self.counts: Dict[tuple, int] = {}
         #: recorded cycles that failed to compile; never retried.
         self.dead: set = set()
+
+    def suffix(self, ip: int, outcome) -> Optional[Trace]:
+        """The trace entering a block mid-way at ``ip``, compiled on
+        first use from an empty wrap map and counted in ``outcome``'s
+        ``fusion_compiles``; None when no block holds ``ip`` (a
+        boundary)."""
+        leader = self.leader_of.get(ip)
+        if leader is None:
+            return None
+        block = self.blocks[leader]
+        trace = self.blocks[ip] = _compile(block.items[ip - leader:], ip)
+        trace.exit, trace.tag = block.exit, block.tag
+        outcome.fusion_compiles += 1
+        return trace
 
 # ---------------------------------------------------------------------------
 # trace compiler
@@ -135,8 +158,9 @@ def _block_items(block, pre_prog) -> Tuple[list, Optional[int],
     """A basic block's items, plus the exit ip and tag of a pass that
     retires all of them."""
     instrs = pre_prog.instrs
-    items = [("alu" if instrs[ip].batch_class == predecode.BATCH_ALU
-              else "pad", instrs[ip], ip, None)
+    kinds = {predecode.BATCH_ALU: "alu", predecode.BATCH_MEM: "mem"}
+    items = [(kinds.get(instrs[ip].batch_class, "pad"), instrs[ip], ip,
+              None)  # nop / fence: charge only
              for ip in range(block.start, block.start + block.body_len)]
     if block.term is None:
         return items, block.end, "x"
@@ -152,25 +176,16 @@ def _block_items(block, pre_prog) -> Tuple[list, Optional[int],
     return items, None, None
 
 
-def _cycle_items(head: int, cycle: tuple, blocks: Dict[int, Trace],
-                 pre_prog) -> Optional[list]:
-    """Concatenate a recorded cycle's block and memory items, fixing
-    each branch's on-trace direction and validating the control-flow
-    continuity the recording implies.  Returns None when the cycle
-    cannot compile (the caller marks it dead, so a bogus recording is
-    at worst a lost promotion)."""
+def _cycle_items(head: int, cycle: tuple,
+                 blocks: Dict[int, Trace]) -> Optional[list]:
+    """Concatenate a recorded cycle's block items, fixing each branch's
+    on-trace direction and validating the control-flow continuity the
+    recording implies.  Returns None when the cycle cannot compile (the
+    caller marks it dead, so a bogus recording is at worst a lost
+    promotion)."""
     items: list = []
-    count = len(pre_prog.instrs)
     for ci, (ip, tag) in enumerate(cycle):
         nxt = cycle[ci + 1][0] if ci + 1 < len(cycle) else head
-        if tag == "m":
-            if not 0 <= ip < count or ip + 1 != nxt:
-                return None
-            pre = pre_prog.instrs[ip]
-            if pre.batch_class != predecode.BATCH_MEM:
-                return None
-            items.append(("mem", pre, ip, None))
-            continue
         block = blocks.get(ip)
         if block is None or block.tag == "end":
             return None
@@ -564,17 +579,18 @@ def _charge(trace: Trace, k: int, m: int, active, recs, config,
 class TraceRun:
     """One gang run's view of its program's traces.
 
-    Holds the profile window the gang loop notes block and memory exits
-    into, and — for the duration of one :meth:`run` call — the lanes the
-    specialized steps read (``rows``, ``active``) with their symbol
-    memo ``syms``.
+    Holds the gang's register file and callbacks, the profile window
+    block exits are noted into, and — for the duration of one
+    :meth:`run` call — the lanes the specialized steps read (``rows``,
+    ``active``) with their symbol memo ``syms``.
     """
 
-    __slots__ = ("traces", "device", "ctxs", "recs", "outcome",
-                 "symcache", "window", "pos", "rows", "active", "syms")
+    __slots__ = ("traces", "device", "V", "P", "ctxs", "recs", "outcome",
+                 "finish_one", "diverge", "symcache", "window", "pos",
+                 "rows", "active", "syms")
 
-    def __init__(self, device, program, pre_prog, ctxs, recs, outcome,
-                 symcache: dict):
+    def __init__(self, device, program, pre_prog, V, P, ctxs, recs, outcome,
+                 finish_one, diverge):
         traces = predecode.CACHE.lookup_traces(program)
         if traces is None:
             traces = ProgramTraces(program, pre_prog)
@@ -582,10 +598,17 @@ class TraceRun:
             outcome.fusion_compiles += len(traces.blocks)
         self.traces = traces
         self.device = device
+        self.V = V
+        self.P = P
         self.ctxs = ctxs
         self.recs = recs
         self.outcome = outcome
-        self.symcache = symcache
+        self.finish_one = finish_one
+        #: routes a divergent branch's losing side (park or peel)
+        self.diverge = diverge
+        # per-run symbol memo: bindings are frozen at spawn, so each
+        # shred's symbol resolves once per run instead of once per read
+        self.symcache: Dict[str, tuple] = {}
         self.window: List[Tuple[int, str]] = []
         self.pos: Dict[int, int] = {}
 
@@ -597,8 +620,8 @@ class TraceRun:
             self.pos.clear()
 
     def note(self, ip: int, tag: str) -> None:
-        """Record one exit; a revisited ip closes the cycle since its
-        previous visit, restarts the window at this occurrence, and
+        """Record one block exit; a revisited ip closes the cycle since
+        its previous visit, restarts the window at this occurrence, and
         counts one traversal of that cycle toward promotion."""
         window, pos = self.window, self.pos
         p = pos.get(ip)
@@ -623,19 +646,20 @@ class TraceRun:
             traces.counts[key] = count
             return
         traces.counts.pop(key, None)
-        items = _cycle_items(ip, cycle, traces.blocks, traces.pre_prog)
+        items = _cycle_items(ip, cycle, traces.blocks)
         if items is None:
             traces.dead.add(key)
             return
         traces.cycles[ip] = _compile(items, ip, loops=True)
         self.outcome.megaop_compiles += 1
 
-    def _pass(self, steps, V: np.ndarray, P: np.ndarray, sl):
+    def _pass(self, steps, sl):
         """Run ``steps`` once.  Returns None when every step retired,
         else why the pass stopped: ``("fail", ip, m)`` — item ``m`` could
         not retire and wrote nothing; ``("exit", ip, m, tag)`` — a
         uniform branch left the trace after ``m`` items; ``("div",
         taken, step)`` — a branch split the gang."""
+        V, P = self.V, self.P
         na = len(self.active)
         for st in steps:
             code = st[0]
@@ -654,9 +678,7 @@ class TraceRun:
                 try:
                     ok = _apply_mem_batched(self.device, st[3], st[2],
                                             self.rows, V, P, self.ctxs,
-                                            self.active, self.recs,
-                                            self.device.config,
-                                            self.outcome, account=False)
+                                            self.active, self.outcome)
                 except (TlbMiss, ExecutionFault):
                     ok = False
                 if not ok:
@@ -676,36 +698,33 @@ class TraceRun:
                     return ("div", taken, st)
         return None
 
-    def run(self, ip: int, active: List[int], V: np.ndarray, P: np.ndarray,
-            rows: np.ndarray, finish_one, diverge,
+    def run(self, ip: int, active: List[int], rows: np.ndarray,
             stop_ip: Optional[int]) -> Optional[Tuple[int, List[int]]]:
         """The chain loop: retire compiled traces starting at ``ip``.
 
         A cycle headed at ``ip`` runs first, retiring whole traversals
         until a pass stops; after any progress it returns.  Otherwise
-        blocks retire and chain through uniform exits until one cannot
-        retire, the chain reaches a promoted head (the next call
-        dispatches its cycle) or ``stop_ip``, the innermost pending
-        reconvergence join (never entered, so the gang suspends there
-        precisely; a cycle that retires it is not dispatched).
+        blocks (or, mid-block, a suffix) retire and chain through
+        uniform exits until one cannot retire, the chain reaches a
+        promoted head (the next call dispatches its cycle) or
+        ``stop_ip``, the innermost pending reconvergence join (never
+        entered, so the gang suspends there precisely; a cycle that
+        retires it is not dispatched).
 
         Returns ``(next_ip, active)`` after progress — possibly with the
-        gang drained, ``active == []`` — or None when nothing retired,
-        so the per-instruction loop owns ``ip``.  ``rows`` are the
-        active lanes' rows of ``V``/``P`` (pack-relative when those are a
-        dense sub-gang pack); ``diverge`` routes a divergent branch's
-        losing side (park-or-peel).
+        gang drained, ``active == []`` — or None when nothing retired:
+        the step at ``ip`` cannot batch, ``ip`` is a boundary, or the
+        runaway budget stops the trace at ``ip``.  ``rows`` are the
+        active lanes' rows of the register file.
         """
         traces, recs, outcome = self.traces, self.recs, self.outcome
         config = self.device.config
         self.rows = rows
         self.active = active
         self.syms = {}
-        sl = slice(None) if len(active) == V.shape[0] else rows
+        sl = slice(None) if len(active) == self.V.shape[0] else rows
         # re-admitted gangs need not hold uniform counts: budget from the
         # most advanced record so no lane retires past the runaway cap
-        # (the per-instruction loop checks it before every instruction;
-        # a trace of k only runs when all k checks pass)
         budget = MAX_INSTRUCTIONS - max(recs[i].instructions for i in active)
         with np.errstate(over="ignore", invalid="ignore"):
             cycle = traces.cycles.get(ip)
@@ -715,7 +734,7 @@ class TraceRun:
                 steps = cycle.steps
                 stop = None
                 while cycle.ninstr <= budget:
-                    stop = self._pass(steps, V, P, sl)
+                    stop = self._pass(steps, sl)
                     if stop is not None:
                         break
                     k += 1
@@ -748,20 +767,19 @@ class TraceRun:
                     outcome.megaop_deopts += 1
                     self.reset()
                     return split_divergence(taken, active, st[7], st[4],
-                                            st[5], diverge)
+                                            st[5], self.diverge)
 
             progressed = False
             while True:
-                block = traces.blocks.get(ip)
+                block = traces.blocks.get(ip) or traces.suffix(ip, outcome)
                 if block is None or block.ninstr > budget:
                     return (ip, active) if progressed else None
                 budget -= block.ninstr
-                stop = self._pass(block.steps, V, P, sl)
+                stop = self._pass(block.steps, sl)
                 if stop is not None and stop[0] == "fail":
-                    # earlier items committed exactly as the
-                    # per-instruction loop would have; the failing one
-                    # wrote nothing, so that loop re-runs it (and its
-                    # per-shred fallback) at the precise ip
+                    # earlier items committed; the failing one wrote
+                    # nothing, so the next call re-attempts it at the
+                    # head of its suffix before the reference step
                     _charge(block, 0, stop[2], active, recs, config,
                             outcome)
                     self.reset()
@@ -777,7 +795,7 @@ class TraceRun:
                     if tag == "end":
                         self.reset()
                         for i in active:
-                            finish_one(i)
+                            self.finish_one(i)
                         return (ip, [])
                 elif stop[0] == "exit":
                     ip, tag = stop[1], stop[3]
@@ -785,7 +803,7 @@ class TraceRun:
                     self.reset()
                     taken, st = stop[1], stop[2]
                     return split_divergence(taken, active, st[7], st[4],
-                                            st[5], diverge)
+                                            st[5], self.diverge)
                 if tag != "x":
                     outcome.trace_chains += 1
                 progressed = True

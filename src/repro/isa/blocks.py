@@ -1,27 +1,25 @@
 """Basic-block discovery and reconvergence over a predecoded program.
 
-The megaop engine's compiled traces (:mod:`repro.gma.megaop`) amortize
-its per-instruction Python dispatch over whole straight-line regions.
-This module finds those regions once per program: a *basic block* is a
-maximal run of instructions the gang can retire back-to-back without
-consulting the per-instruction loop — batched ALU ops plus the
-no-datapath controls (``nop``/``fence``) — optionally ending with one
-*terminator* (``jmp``/``br``/``end``) whose outcome decides the
-successor.
+The megaop engine's compiled traces (:mod:`repro.gma.megaop`) retire
+every batched instruction of a gang.  This module finds their regions
+once per program: a *basic block* is a maximal run of instructions the
+gang can retire back-to-back — batched ALU ops, lockstep memory steps
+(``ld``/``st``/``ldblk``/``stblk``/``sample``) and the no-datapath
+controls (``nop``/``fence``) — optionally ending with one *terminator*
+(``jmp``/``br``/``end``) whose outcome decides the successor.
 
 Leaders (block entry points) are :func:`repro.isa.cfg.leaders` —
 instruction 0, every label (so every branch target) and the ip after
 every ``jmp``/``br``/``end`` — plus one cut: the fall-through of every
-other boundary instruction (memory ops, per-shred steps, peels), where
-the per-instruction loop resumes after handling the boundary and a
-compiled block must be able to pick the trace back up.
+*boundary* instruction (per-shred steps and peels), where the gang
+resumes after the boundary's reference step.
 
 A block never spans a leader — a backward branch into the middle of a
-straight-line run splits it — so entering a block at its ``start`` is the
-only way in, which is what lets its compiled trace charge the whole
-block's accounting in one shot.  Blocks that would be empty (a boundary
-instruction is the entry itself) are not recorded; the per-instruction
-loop owns those ips.
+straight-line run splits it — so the gang enters a block at its
+``start``, or mid-way through a suffix trace after a step that could
+not batch.  Blocks that would be empty (a boundary instruction is the
+entry itself) are not recorded; the gang's reference step owns those
+ips.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .opcodes import Opcode
 from .predecode import (
     BATCH_ALU,
     BATCH_CONTROL,
+    BATCH_MEM,
     BATCH_PEEL,
     PredecodedInstr,
     PredecodedProgram,
@@ -45,7 +44,7 @@ _BODY_CONTROL = (Opcode.NOP, Opcode.FENCE)
 
 def fusable_body(pre: PredecodedInstr) -> bool:
     """Can this instruction sit inside a block body?"""
-    if pre.batch_class == BATCH_ALU:
+    if pre.batch_class in (BATCH_ALU, BATCH_MEM):
         return True
     return (pre.batch_class == BATCH_CONTROL
             and pre.opcode in _BODY_CONTROL)
@@ -55,8 +54,8 @@ def is_terminator(pre: PredecodedInstr) -> bool:
     """Does this instruction end a block with a control decision?
 
     Only *well-formed* branches qualify (``BATCH_CONTROL``): a malformed
-    branch predecodes as ``BATCH_PEEL`` and stays a boundary so the
-    per-instruction loop peels it exactly as before.
+    branch predecodes as ``BATCH_PEEL`` and stays a boundary, where the
+    gang peels every lane.
     """
     return (pre.batch_class == BATCH_CONTROL
             and pre.opcode in cfg.TERMINATORS)
@@ -70,8 +69,7 @@ class BasicBlock:
     ip of the terminating ``jmp``/``br``/``end`` when the block ends
     with one (``end`` then equals ``term + 1``), else None when the
     block stops at a boundary or at another block's leader (``end`` is
-    then the resume ip for the per-instruction loop or the fall-through
-    successor's leader).
+    then the boundary's ip or the fall-through successor's leader).
     """
 
     start: int
@@ -91,8 +89,8 @@ def discover_blocks(pre_prog: PredecodedProgram,
     instrs = pre_prog.instrs
     count = len(instrs)
     leaders = cfg.leaders([pre.instr for pre in instrs], labels)
-    # cuts: after a boundary (memory / per-shred / peel) the
-    # per-instruction loop resumes at the fall-through
+    # cuts: after a boundary (per-shred / peel) the gang resumes at
+    # the fall-through
     leaders.update(ip + 1 for ip, pre in enumerate(instrs)
                    if not fusable_body(pre))
 

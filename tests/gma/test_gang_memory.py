@@ -485,10 +485,10 @@ top:
 
 
 def test_plan_rebuilt_when_gang_repacks_between_executions():
-    """Lanes 0 and 2 leave the loop after one trip; lanes 1 and 3 park,
-    repack into a dense sub-gang and run the same ``ldblk`` again.  Each
-    lane binds its own congruent surfaces, so a plan kept across the
-    repack would apply the old lanes' base deltas."""
+    """Lanes 0 and 2 leave the loop after one trip; lanes 1 and 3 park
+    as a sub-gang on their own rows and run the same ``ldblk`` again.
+    Each lane binds its own congruent surfaces, so a plan kept across
+    the repack would apply the old lanes' base deltas."""
     program = assemble(REPACK_ASM, name="gang-mem-repack")
     trips = [1, 3, 1, 3]
     out = {}

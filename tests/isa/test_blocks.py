@@ -29,18 +29,21 @@ class TestStraightLine:
         assert block.ninstr == 3
 
     def test_memory_op_is_a_boundary(self):
-        """A store splits the region; the per-instruction loop owns its
-        ip, and the fall-through is a new leader."""
+        """A memory op is a body item; a per-shred op (a ``df`` add,
+        which proxies through CEH) is the boundary that splits the
+        region, and its fall-through is a new leader."""
         _, blocks = blocks_for("""
         iota.16.f vr1
         st.16.f (OUT, 0, 0) = vr1
-        add.16.f vr2 = vr1, vr1
+        ld.16.f vr3 = (IN, 0, 0)
+        add.16.df vr2 = vr1, vr1
+        add.16.f vr2 = vr3, vr3
         end
         """)
-        assert set(blocks) == {0, 2}
-        assert blocks[0] == type(blocks[0])(start=0, end=1, body_len=1)
-        assert blocks[0].term is None  # stopped at the boundary
-        assert blocks[2].term == 3
+        assert set(blocks) == {0, 4}
+        assert blocks[0] == type(blocks[0])(start=0, end=3, body_len=3)
+        assert blocks[0].term is None  # stopped at the per-shred add
+        assert blocks[4].term == 5
 
     def test_nop_and_fence_fuse_into_the_body(self):
         _, blocks = blocks_for("""
@@ -126,9 +129,16 @@ class TestEdgeShapes:
 
     def test_boundary_at_leader_records_no_block(self):
         """A block that would be empty (boundary at its own leader) is
-        not recorded; the per-instruction loop owns that ip."""
+        not recorded; the gang's reference step owns that ip.  A store
+        at the leader is a body item, a peel is not."""
         _, blocks = blocks_for("""
         st.16.f (OUT, 0, 0) = vr1
+        end
+        """)
+        assert blocks[0].body_len == 1
+        assert blocks[0].term == 1
+        _, blocks = blocks_for("""
+        spawn 0
         end
         """)
         assert 0 not in blocks

@@ -71,285 +71,285 @@ def scoreboard_cycles(kernel, engine):
 #: (kernel, geometry, spec) -> (source sha256, annotations, blocks)
 PINNED_PROGRAMS = {
     ('LinearFilter', 'bench', 'unroll4'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'bench', 'reorder'):
-        ('30de68480ee38183', 'd69bb59159b5bee4', '2fc6c9e6f7833b67'),
+        ('30de68480ee38183', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'bench', 'stage_mem'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'bench', 'baseline'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'bench', 'unroll4+stage_mem'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'bench', 'unroll8+stage_mem'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'bench', 'unroll8+stage_mem+reorder'):
-        ('30de68480ee38183', 'd69bb59159b5bee4', '2fc6c9e6f7833b67'),
+        ('30de68480ee38183', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'smoke', 'unroll4'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'smoke', 'reorder'):
-        ('30de68480ee38183', 'd69bb59159b5bee4', '2fc6c9e6f7833b67'),
+        ('30de68480ee38183', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'smoke', 'stage_mem'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'smoke', 'baseline'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'smoke', 'unroll4+stage_mem'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'smoke', 'unroll8+stage_mem'):
-        ('fbab04675217a576', 'd69bb59159b5bee4', '455f947714f33336'),
+        ('fbab04675217a576', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('LinearFilter', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('30de68480ee38183', 'd69bb59159b5bee4', '2fc6c9e6f7833b67'),
+        ('30de68480ee38183', 'd69bb59159b5bee4', 'ba4d6b1754ed0fb6'),
     ('SepiaTone', 'bench', 'unroll4'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'bench', 'reorder'):
-        ('ae6de22a4542bd21', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('ae6de22a4542bd21', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'bench', 'stage_mem'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'bench', 'baseline'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'bench', 'unroll4+stage_mem'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'bench', 'unroll8+stage_mem'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'bench', 'unroll8+stage_mem+reorder'):
-        ('ae6de22a4542bd21', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('ae6de22a4542bd21', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'smoke', 'unroll4'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'smoke', 'reorder'):
-        ('ae6de22a4542bd21', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('ae6de22a4542bd21', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'smoke', 'stage_mem'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'smoke', 'baseline'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'smoke', 'unroll4+stage_mem'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'smoke', 'unroll8+stage_mem'):
-        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('b1347ce2f3092e5c', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('SepiaTone', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('ae6de22a4542bd21', 'f48a3282a4b11af2', '86b5819153796806'),
+        ('ae6de22a4542bd21', 'f48a3282a4b11af2', 'a594576cd168b128'),
     ('FGT', 'bench', 'unroll4'):
-        ('6f88f685608b70ab', '999e409fddce824f', '6292fd37f9e39cbe'),
+        ('6f88f685608b70ab', '999e409fddce824f', '0a576c7fa469af38'),
     ('FGT', 'bench', 'reorder'):
-        ('7a94fe09659f09ac', '3220600d77687b72', '5211fd3501ee1617'),
+        ('7a94fe09659f09ac', '3220600d77687b72', '52b8cad4f1ab22b0'),
     ('FGT', 'bench', 'stage_mem'):
-        ('b03989971538cc04', '3220600d77687b72', '5211fd3501ee1617'),
+        ('b03989971538cc04', '3220600d77687b72', '52b8cad4f1ab22b0'),
     ('FGT', 'bench', 'baseline'):
-        ('b03989971538cc04', '3220600d77687b72', '5211fd3501ee1617'),
+        ('b03989971538cc04', '3220600d77687b72', '52b8cad4f1ab22b0'),
     ('FGT', 'bench', 'unroll4+stage_mem'):
-        ('6f88f685608b70ab', '999e409fddce824f', '6292fd37f9e39cbe'),
+        ('6f88f685608b70ab', '999e409fddce824f', '0a576c7fa469af38'),
     ('FGT', 'bench', 'unroll8+stage_mem'):
-        ('d6575f3fe4a284eb', '00d16a19a251629b', '1c999dadc68abd29'),
+        ('d6575f3fe4a284eb', '00d16a19a251629b', '89cb5179aeaf4092'),
     ('FGT', 'bench', 'unroll8+stage_mem+reorder'):
-        ('e178a1e3a2a2ebf0', '00d16a19a251629b', '1c999dadc68abd29'),
+        ('e178a1e3a2a2ebf0', '00d16a19a251629b', '89cb5179aeaf4092'),
     ('FGT', 'smoke', 'unroll4'):
-        ('6f88f685608b70ab', '999e409fddce824f', '6292fd37f9e39cbe'),
+        ('6f88f685608b70ab', '999e409fddce824f', '0a576c7fa469af38'),
     ('FGT', 'smoke', 'reorder'):
-        ('7a94fe09659f09ac', '3220600d77687b72', '5211fd3501ee1617'),
+        ('7a94fe09659f09ac', '3220600d77687b72', '52b8cad4f1ab22b0'),
     ('FGT', 'smoke', 'stage_mem'):
-        ('b03989971538cc04', '3220600d77687b72', '5211fd3501ee1617'),
+        ('b03989971538cc04', '3220600d77687b72', '52b8cad4f1ab22b0'),
     ('FGT', 'smoke', 'baseline'):
-        ('b03989971538cc04', '3220600d77687b72', '5211fd3501ee1617'),
+        ('b03989971538cc04', '3220600d77687b72', '52b8cad4f1ab22b0'),
     ('FGT', 'smoke', 'unroll4+stage_mem'):
-        ('6f88f685608b70ab', '999e409fddce824f', '6292fd37f9e39cbe'),
+        ('6f88f685608b70ab', '999e409fddce824f', '0a576c7fa469af38'),
     ('FGT', 'smoke', 'unroll8+stage_mem'):
-        ('6f88f685608b70ab', '999e409fddce824f', '6292fd37f9e39cbe'),
+        ('6f88f685608b70ab', '999e409fddce824f', '0a576c7fa469af38'),
     ('FGT', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('325fb7d146698851', '999e409fddce824f', '6292fd37f9e39cbe'),
+        ('325fb7d146698851', '999e409fddce824f', '0a576c7fa469af38'),
     ('Bicubic', 'bench', 'unroll4'):
-        ('8feeb5d305e33623', '1307c3bd533532d3', '669c33ad9e621f7d'),
+        ('8feeb5d305e33623', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Bicubic', 'bench', 'reorder'):
-        ('e3f1ee143db97e96', '9fad08741ffec34b', '33606a220acb5def'),
+        ('e3f1ee143db97e96', '9fad08741ffec34b', '3bb70dd23cffefa8'),
     ('Bicubic', 'bench', 'stage_mem'):
-        ('d08268ba847d687b', '9fad08741ffec34b', '86cd20d0b60f5d8a'),
+        ('d08268ba847d687b', '9fad08741ffec34b', '3bb70dd23cffefa8'),
     ('Bicubic', 'bench', 'baseline'):
-        ('d08268ba847d687b', '9fad08741ffec34b', '86cd20d0b60f5d8a'),
+        ('d08268ba847d687b', '9fad08741ffec34b', '3bb70dd23cffefa8'),
     ('Bicubic', 'bench', 'unroll4+stage_mem'):
-        ('8feeb5d305e33623', '1307c3bd533532d3', '669c33ad9e621f7d'),
+        ('8feeb5d305e33623', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Bicubic', 'bench', 'unroll8+stage_mem'):
-        ('8feeb5d305e33623', '1307c3bd533532d3', '669c33ad9e621f7d'),
+        ('8feeb5d305e33623', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Bicubic', 'bench', 'unroll8+stage_mem+reorder'):
-        ('c5caf417a6c1fca4', '1307c3bd533532d3', 'dbc01d7b9e8fdc20'),
+        ('c5caf417a6c1fca4', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Bicubic', 'smoke', 'unroll4'):
-        ('8feeb5d305e33623', '1307c3bd533532d3', '669c33ad9e621f7d'),
+        ('8feeb5d305e33623', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Bicubic', 'smoke', 'reorder'):
-        ('e3f1ee143db97e96', '9fad08741ffec34b', '33606a220acb5def'),
+        ('e3f1ee143db97e96', '9fad08741ffec34b', '3bb70dd23cffefa8'),
     ('Bicubic', 'smoke', 'stage_mem'):
-        ('d08268ba847d687b', '9fad08741ffec34b', '86cd20d0b60f5d8a'),
+        ('d08268ba847d687b', '9fad08741ffec34b', '3bb70dd23cffefa8'),
     ('Bicubic', 'smoke', 'baseline'):
-        ('d08268ba847d687b', '9fad08741ffec34b', '86cd20d0b60f5d8a'),
+        ('d08268ba847d687b', '9fad08741ffec34b', '3bb70dd23cffefa8'),
     ('Bicubic', 'smoke', 'unroll4+stage_mem'):
-        ('8feeb5d305e33623', '1307c3bd533532d3', '669c33ad9e621f7d'),
+        ('8feeb5d305e33623', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Bicubic', 'smoke', 'unroll8+stage_mem'):
-        ('8feeb5d305e33623', '1307c3bd533532d3', '669c33ad9e621f7d'),
+        ('8feeb5d305e33623', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Bicubic', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('c5caf417a6c1fca4', '1307c3bd533532d3', 'dbc01d7b9e8fdc20'),
+        ('c5caf417a6c1fca4', '1307c3bd533532d3', 'a1f581200394c684'),
     ('Kalman', 'bench', 'unroll4'):
-        ('70e841659fede03e', 'ec8505e23fae1847', 'd9886c8b6ff6e19a'),
+        ('70e841659fede03e', 'ec8505e23fae1847', 'daf07f4e51da461d'),
     ('Kalman', 'bench', 'reorder'):
-        ('6290507450afe74c', 'ebe299c4171ff7e6', 'c725123bcc6aab06'),
+        ('6290507450afe74c', 'ebe299c4171ff7e6', 'e99e2720c17c6788'),
     ('Kalman', 'bench', 'stage_mem'):
-        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'c725123bcc6aab06'),
+        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'e99e2720c17c6788'),
     ('Kalman', 'bench', 'baseline'):
-        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'c725123bcc6aab06'),
+        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'e99e2720c17c6788'),
     ('Kalman', 'bench', 'unroll4+stage_mem'):
-        ('1b72e2fe711f577d', '9de92f1cdf73ffed', '2bcbfd7ac459b54b'),
+        ('1b72e2fe711f577d', '9de92f1cdf73ffed', 'a811eb2a3a09beef'),
     ('Kalman', 'bench', 'unroll8+stage_mem'):
-        ('cc694cce437d1172', '4842c9b68201c8e7', '38b6f77b0f909076'),
+        ('cc694cce437d1172', '4842c9b68201c8e7', 'b4559918951a1841'),
     ('Kalman', 'bench', 'unroll8+stage_mem+reorder'):
-        ('cc694cce437d1172', '4842c9b68201c8e7', '38b6f77b0f909076'),
+        ('cc694cce437d1172', '4842c9b68201c8e7', 'b4559918951a1841'),
     ('Kalman', 'smoke', 'unroll4'):
-        ('70e841659fede03e', 'ec8505e23fae1847', 'd9886c8b6ff6e19a'),
+        ('70e841659fede03e', 'ec8505e23fae1847', 'daf07f4e51da461d'),
     ('Kalman', 'smoke', 'reorder'):
-        ('6290507450afe74c', 'ebe299c4171ff7e6', 'c725123bcc6aab06'),
+        ('6290507450afe74c', 'ebe299c4171ff7e6', 'e99e2720c17c6788'),
     ('Kalman', 'smoke', 'stage_mem'):
-        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'c725123bcc6aab06'),
+        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'e99e2720c17c6788'),
     ('Kalman', 'smoke', 'baseline'):
-        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'c725123bcc6aab06'),
+        ('7f9cc2e6f5aeef38', 'ebe299c4171ff7e6', 'e99e2720c17c6788'),
     ('Kalman', 'smoke', 'unroll4+stage_mem'):
-        ('1b72e2fe711f577d', '9de92f1cdf73ffed', '2bcbfd7ac459b54b'),
+        ('1b72e2fe711f577d', '9de92f1cdf73ffed', 'a811eb2a3a09beef'),
     ('Kalman', 'smoke', 'unroll8+stage_mem'):
-        ('cc694cce437d1172', '4842c9b68201c8e7', '38b6f77b0f909076'),
+        ('cc694cce437d1172', '4842c9b68201c8e7', 'b4559918951a1841'),
     ('Kalman', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('cc694cce437d1172', '4842c9b68201c8e7', '38b6f77b0f909076'),
+        ('cc694cce437d1172', '4842c9b68201c8e7', 'b4559918951a1841'),
     ('FMD', 'bench', 'unroll4'):
-        ('7a1435649ff1ea4c', 'f16c32f5e423699a', 'd80a576b58484d7f'),
+        ('7a1435649ff1ea4c', 'f16c32f5e423699a', '9823da5f7a31240a'),
     ('FMD', 'bench', 'reorder'):
-        ('62f1f8c9abe819c0', 'bfc41f58b6fb040a', 'e201ecbabccac128'),
+        ('62f1f8c9abe819c0', 'bfc41f58b6fb040a', '9d01e6568819b762'),
     ('FMD', 'bench', 'stage_mem'):
-        ('5da0a48db3e767da', 'bfc41f58b6fb040a', 'e201ecbabccac128'),
+        ('5da0a48db3e767da', 'bfc41f58b6fb040a', '9d01e6568819b762'),
     ('FMD', 'bench', 'baseline'):
-        ('5da0a48db3e767da', 'bfc41f58b6fb040a', 'e201ecbabccac128'),
+        ('5da0a48db3e767da', 'bfc41f58b6fb040a', '9d01e6568819b762'),
     ('FMD', 'bench', 'unroll4+stage_mem'):
-        ('7a1435649ff1ea4c', 'f16c32f5e423699a', 'd80a576b58484d7f'),
+        ('7a1435649ff1ea4c', 'f16c32f5e423699a', '9823da5f7a31240a'),
     ('FMD', 'bench', 'unroll8+stage_mem'):
-        ('6c9defc164dbe04f', '61599c2b26064181', 'fd201d779c31bcdf'),
+        ('6c9defc164dbe04f', '61599c2b26064181', 'c7e74bfecd0ee14b'),
     ('FMD', 'bench', 'unroll8+stage_mem+reorder'):
-        ('c8d12e6e21fcff6d', '61599c2b26064181', '97a7111912e0d937'),
+        ('c8d12e6e21fcff6d', '61599c2b26064181', 'c7e74bfecd0ee14b'),
     ('FMD', 'smoke', 'unroll4'):
-        ('8a4d18491f348aaf', 'f16c32f5e423699a', 'd80a576b58484d7f'),
+        ('8a4d18491f348aaf', 'f16c32f5e423699a', '9823da5f7a31240a'),
     ('FMD', 'smoke', 'reorder'):
-        ('8b56c4c48d8ee820', 'bfc41f58b6fb040a', 'e201ecbabccac128'),
+        ('8b56c4c48d8ee820', 'bfc41f58b6fb040a', '9d01e6568819b762'),
     ('FMD', 'smoke', 'stage_mem'):
-        ('a476d3f8bb8bd01f', 'bfc41f58b6fb040a', 'e201ecbabccac128'),
+        ('a476d3f8bb8bd01f', 'bfc41f58b6fb040a', '9d01e6568819b762'),
     ('FMD', 'smoke', 'baseline'):
-        ('a476d3f8bb8bd01f', 'bfc41f58b6fb040a', 'e201ecbabccac128'),
+        ('a476d3f8bb8bd01f', 'bfc41f58b6fb040a', '9d01e6568819b762'),
     ('FMD', 'smoke', 'unroll4+stage_mem'):
-        ('8a4d18491f348aaf', 'f16c32f5e423699a', 'd80a576b58484d7f'),
+        ('8a4d18491f348aaf', 'f16c32f5e423699a', '9823da5f7a31240a'),
     ('FMD', 'smoke', 'unroll8+stage_mem'):
-        ('bda834aa5003bf4b', '61599c2b26064181', 'fd201d779c31bcdf'),
+        ('bda834aa5003bf4b', '61599c2b26064181', 'c7e74bfecd0ee14b'),
     ('FMD', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('eae6f500818d7e40', '61599c2b26064181', '97a7111912e0d937'),
+        ('eae6f500818d7e40', '61599c2b26064181', 'c7e74bfecd0ee14b'),
     ('AlphaBlend', 'bench', 'unroll4'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'bench', 'reorder'):
-        ('6d514ae6e6a59f32', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('6d514ae6e6a59f32', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'bench', 'stage_mem'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'bench', 'baseline'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'bench', 'unroll4+stage_mem'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'bench', 'unroll8+stage_mem'):
-        ('30decc6f3866b187', 'e033df7beab64a1a', 'a80332e2202175eb'),
+        ('30decc6f3866b187', 'e033df7beab64a1a', '21ecda004fb5e67f'),
     ('AlphaBlend', 'bench', 'unroll8+stage_mem+reorder'):
-        ('1af4ba39d6f040bb', 'e033df7beab64a1a', '7cc59a1386d682bf'),
+        ('1af4ba39d6f040bb', 'e033df7beab64a1a', '21ecda004fb5e67f'),
     ('AlphaBlend', 'smoke', 'unroll4'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'smoke', 'reorder'):
-        ('6d514ae6e6a59f32', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('6d514ae6e6a59f32', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'smoke', 'stage_mem'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'smoke', 'baseline'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'smoke', 'unroll4+stage_mem'):
-        ('fbb1775494e25153', '7e5cc983b0c94384', '2c2b406824a11e28'),
+        ('fbb1775494e25153', '7e5cc983b0c94384', '3ee02dd82b934f28'),
     ('AlphaBlend', 'smoke', 'unroll8+stage_mem'):
-        ('30decc6f3866b187', 'e033df7beab64a1a', 'a80332e2202175eb'),
+        ('30decc6f3866b187', 'e033df7beab64a1a', '21ecda004fb5e67f'),
     ('AlphaBlend', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('1af4ba39d6f040bb', 'e033df7beab64a1a', '7cc59a1386d682bf'),
+        ('1af4ba39d6f040bb', 'e033df7beab64a1a', '21ecda004fb5e67f'),
     ('BOB', 'bench', 'unroll4'):
-        ('25811479a5581279', 'e288b30ff739ce70', '97e0f30256dfb0f4'),
+        ('25811479a5581279', 'e288b30ff739ce70', 'bd293a4e798fd78b'),
     ('BOB', 'bench', 'reorder'):
-        ('494977c598c5904f', '4ca952dbace05c72', '676a06cd1493d579'),
+        ('494977c598c5904f', '4ca952dbace05c72', '52c7695ef842b5f4'),
     ('BOB', 'bench', 'stage_mem'):
-        ('aeb50e74bd04cd11', '3220600d77687b72', '283edbb336f4f42b'),
+        ('aeb50e74bd04cd11', '3220600d77687b72', '31006100e30b2cdd'),
     ('BOB', 'bench', 'baseline'):
-        ('937e5f2b73131352', '4ca952dbace05c72', '1fb912c1db7eadb0'),
+        ('937e5f2b73131352', '4ca952dbace05c72', '52c7695ef842b5f4'),
     ('BOB', 'bench', 'unroll4+stage_mem'):
-        ('aa836c53580c49bf', '1949d06788376920', '2f35ae2cdadc5f4e'),
+        ('aa836c53580c49bf', '1949d06788376920', 'd9ec207fe6af3b3c'),
     ('BOB', 'bench', 'unroll8+stage_mem'):
-        ('a15b56c72d0a4ccf', '20464e6441601ef8', '5404400bbc6b183c'),
+        ('a15b56c72d0a4ccf', '20464e6441601ef8', '609379d50786604f'),
     ('BOB', 'bench', 'unroll8+stage_mem+reorder'):
-        ('a4ff995d3f8c02a6', '20464e6441601ef8', 'fa7e308c7fda277b'),
+        ('a4ff995d3f8c02a6', '20464e6441601ef8', '609379d50786604f'),
     ('BOB', 'smoke', 'unroll4'):
-        ('25811479a5581279', 'e288b30ff739ce70', '97e0f30256dfb0f4'),
+        ('25811479a5581279', 'e288b30ff739ce70', 'bd293a4e798fd78b'),
     ('BOB', 'smoke', 'reorder'):
-        ('494977c598c5904f', '4ca952dbace05c72', '676a06cd1493d579'),
+        ('494977c598c5904f', '4ca952dbace05c72', '52c7695ef842b5f4'),
     ('BOB', 'smoke', 'stage_mem'):
-        ('aeb50e74bd04cd11', '3220600d77687b72', '283edbb336f4f42b'),
+        ('aeb50e74bd04cd11', '3220600d77687b72', '31006100e30b2cdd'),
     ('BOB', 'smoke', 'baseline'):
-        ('937e5f2b73131352', '4ca952dbace05c72', '1fb912c1db7eadb0'),
+        ('937e5f2b73131352', '4ca952dbace05c72', '52c7695ef842b5f4'),
     ('BOB', 'smoke', 'unroll4+stage_mem'):
-        ('aa836c53580c49bf', '1949d06788376920', '2f35ae2cdadc5f4e'),
+        ('aa836c53580c49bf', '1949d06788376920', 'd9ec207fe6af3b3c'),
     ('BOB', 'smoke', 'unroll8+stage_mem'):
-        ('a15b56c72d0a4ccf', '20464e6441601ef8', '5404400bbc6b183c'),
+        ('a15b56c72d0a4ccf', '20464e6441601ef8', '609379d50786604f'),
     ('BOB', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('a4ff995d3f8c02a6', '20464e6441601ef8', 'fa7e308c7fda277b'),
+        ('a4ff995d3f8c02a6', '20464e6441601ef8', '609379d50786604f'),
     ('ADVDI', 'bench', 'unroll4'):
-        ('f040818a0a41cabd', '03b065994c61a909', 'e708d6a899978674'),
+        ('f040818a0a41cabd', '03b065994c61a909', '5020afc96e8c8f4a'),
     ('ADVDI', 'bench', 'reorder'):
-        ('16b6c1f76e0886be', '03b065994c61a909', 'cbaab63c40dbea94'),
+        ('16b6c1f76e0886be', '03b065994c61a909', '5020afc96e8c8f4a'),
     ('ADVDI', 'bench', 'stage_mem'):
-        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', '7e9dafd55c5c6548'),
+        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', 'a69ce63160783607'),
     ('ADVDI', 'bench', 'baseline'):
-        ('f040818a0a41cabd', '03b065994c61a909', 'e708d6a899978674'),
+        ('f040818a0a41cabd', '03b065994c61a909', '5020afc96e8c8f4a'),
     ('ADVDI', 'bench', 'unroll4+stage_mem'):
-        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', '7e9dafd55c5c6548'),
+        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', 'a69ce63160783607'),
     ('ADVDI', 'bench', 'unroll8+stage_mem'):
-        ('e322eb049640a61c', '1692fe84a7ee07b1', '19269a55c944c7bf'),
+        ('e322eb049640a61c', '1692fe84a7ee07b1', 'd8667a54723170c8'),
     ('ADVDI', 'bench', 'unroll8+stage_mem+reorder'):
-        ('ae4d51a93b4b43e2', '1692fe84a7ee07b1', '049a567b7543f46a'),
+        ('ae4d51a93b4b43e2', '1692fe84a7ee07b1', 'd8667a54723170c8'),
     ('ADVDI', 'smoke', 'unroll4'):
-        ('f040818a0a41cabd', '03b065994c61a909', 'e708d6a899978674'),
+        ('f040818a0a41cabd', '03b065994c61a909', '5020afc96e8c8f4a'),
     ('ADVDI', 'smoke', 'reorder'):
-        ('16b6c1f76e0886be', '03b065994c61a909', 'cbaab63c40dbea94'),
+        ('16b6c1f76e0886be', '03b065994c61a909', '5020afc96e8c8f4a'),
     ('ADVDI', 'smoke', 'stage_mem'):
-        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', '7e9dafd55c5c6548'),
+        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', 'a69ce63160783607'),
     ('ADVDI', 'smoke', 'baseline'):
-        ('f040818a0a41cabd', '03b065994c61a909', 'e708d6a899978674'),
+        ('f040818a0a41cabd', '03b065994c61a909', '5020afc96e8c8f4a'),
     ('ADVDI', 'smoke', 'unroll4+stage_mem'):
-        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', '7e9dafd55c5c6548'),
+        ('a6a05b34a4dab1e7', '9dc626f47be6be5c', 'a69ce63160783607'),
     ('ADVDI', 'smoke', 'unroll8+stage_mem'):
-        ('e322eb049640a61c', '1692fe84a7ee07b1', '19269a55c944c7bf'),
+        ('e322eb049640a61c', '1692fe84a7ee07b1', 'd8667a54723170c8'),
     ('ADVDI', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('ae4d51a93b4b43e2', '1692fe84a7ee07b1', '049a567b7543f46a'),
+        ('ae4d51a93b4b43e2', '1692fe84a7ee07b1', 'd8667a54723170c8'),
     ('ProcAmp', 'bench', 'unroll4'):
-        ('821bc29d751aa403', '00d16a19a251629b', '87f836a14ea42377'),
+        ('821bc29d751aa403', '00d16a19a251629b', '89cb5179aeaf4092'),
     ('ProcAmp', 'bench', 'reorder'):
-        ('5c1b4848914b2f9f', '4d6e0f83b9b1688d', 'ea433e4ec8322899'),
+        ('5c1b4848914b2f9f', '4d6e0f83b9b1688d', '4a8c68311b9fef63'),
     ('ProcAmp', 'bench', 'stage_mem'):
-        ('c41c3988c537997b', '4d6e0f83b9b1688d', 'ebacc9cee4f11227'),
+        ('c41c3988c537997b', '4d6e0f83b9b1688d', '4a8c68311b9fef63'),
     ('ProcAmp', 'bench', 'baseline'):
-        ('c41c3988c537997b', '4d6e0f83b9b1688d', 'ebacc9cee4f11227'),
+        ('c41c3988c537997b', '4d6e0f83b9b1688d', '4a8c68311b9fef63'),
     ('ProcAmp', 'bench', 'unroll4+stage_mem'):
-        ('05467d68e59507ec', 'e23458df5a8e1bae', '4dbbd11fc7c5c2df'),
+        ('05467d68e59507ec', 'e23458df5a8e1bae', '3cecfd350c5d63c8'),
     ('ProcAmp', 'bench', 'unroll8+stage_mem'):
-        ('37e20ed8f1df4e79', '17b3475884d8abf5', '3acc6844dcaeab40'),
+        ('37e20ed8f1df4e79', '17b3475884d8abf5', 'f5f8d66002fc6e79'),
     ('ProcAmp', 'bench', 'unroll8+stage_mem+reorder'):
-        ('7a706980fafa04f8', '17b3475884d8abf5', 'f66234964c2b920c'),
+        ('7a706980fafa04f8', '17b3475884d8abf5', 'f5f8d66002fc6e79'),
     ('ProcAmp', 'smoke', 'unroll4'):
-        ('821bc29d751aa403', '00d16a19a251629b', '87f836a14ea42377'),
+        ('821bc29d751aa403', '00d16a19a251629b', '89cb5179aeaf4092'),
     ('ProcAmp', 'smoke', 'reorder'):
-        ('5c1b4848914b2f9f', '4d6e0f83b9b1688d', 'ea433e4ec8322899'),
+        ('5c1b4848914b2f9f', '4d6e0f83b9b1688d', '4a8c68311b9fef63'),
     ('ProcAmp', 'smoke', 'stage_mem'):
-        ('c41c3988c537997b', '4d6e0f83b9b1688d', 'ebacc9cee4f11227'),
+        ('c41c3988c537997b', '4d6e0f83b9b1688d', '4a8c68311b9fef63'),
     ('ProcAmp', 'smoke', 'baseline'):
-        ('c41c3988c537997b', '4d6e0f83b9b1688d', 'ebacc9cee4f11227'),
+        ('c41c3988c537997b', '4d6e0f83b9b1688d', '4a8c68311b9fef63'),
     ('ProcAmp', 'smoke', 'unroll4+stage_mem'):
-        ('05467d68e59507ec', 'e23458df5a8e1bae', '4dbbd11fc7c5c2df'),
+        ('05467d68e59507ec', 'e23458df5a8e1bae', '3cecfd350c5d63c8'),
     ('ProcAmp', 'smoke', 'unroll8+stage_mem'):
-        ('37e20ed8f1df4e79', '17b3475884d8abf5', '3acc6844dcaeab40'),
+        ('37e20ed8f1df4e79', '17b3475884d8abf5', 'f5f8d66002fc6e79'),
     ('ProcAmp', 'smoke', 'unroll8+stage_mem+reorder'):
-        ('7a706980fafa04f8', '17b3475884d8abf5', 'f66234964c2b920c'),
+        ('7a706980fafa04f8', '17b3475884d8abf5', 'f5f8d66002fc6e79'),
 }
 
 #: kernel -> (scalar, megaop) scoreboarded gma_cycles, one smoke frame

@@ -123,6 +123,64 @@ class TestFaultingShreds:
             device.run([ShredDescriptor(program=program)])
 
 
+#: Runaway loops for the ganged cap: a bare jump, an ALU loop that
+#: promotes to a cycle, and a block mixing a nop, an ``f`` ALU op and a
+#: store.
+RUNAWAY_LOOPS = {
+    "jump": "loop:\njmp loop",
+    "alu": """
+        mov.1.dw vr2 = 0
+        loop:
+        add.1.dw vr2 = vr2, 1
+        mul.16.f vr3 = vr3, 1.0
+        jmp loop
+    """,
+    "mixed": """
+        iota.16.f vr1
+        loop:
+        nop
+        add.16.f vr1 = vr1, 1.0
+        st.16.f (OUT, base, 0) = vr1
+        jmp loop
+    """,
+}
+
+
+@pytest.mark.parametrize("loop", sorted(RUNAWAY_LOOPS))
+@pytest.mark.parametrize("engine", ("scalar", "megaop"))
+def test_runaway_cap_on_a_ganged_launch(engine, loop, monkeypatch):
+    """Four shreds gang on megaop; the cap stops the gang and the
+    deferred interpreter raises the runaway fault on the first shred of
+    the queue, as the scalar engine does."""
+    import repro.gma.gang as gang
+    import repro.gma.megaop as megaop
+    from repro.gma.device import GmaDevice
+    from repro.gma.interpreter import ShredInterpreter
+    from repro.memory.address_space import AddressSpace
+
+    cap = 300
+    monkeypatch.setattr(gang, "MAX_INSTRUCTIONS", cap)
+    monkeypatch.setattr(megaop, "MAX_INSTRUCTIONS", cap)
+    original = ShredInterpreter.__init__
+
+    def tight_budget(self, *args, **kwargs):
+        kwargs["max_instructions"] = cap
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShredInterpreter, "__init__", tight_budget)
+    space = AddressSpace()
+    device = GmaDevice(space, engine=engine)
+    surfaces = {"OUT": Surface.alloc(space, "OUT", 64, 1, DataType.F)}
+    program = assemble(RUNAWAY_LOOPS[loop])
+    shreds = [ShredDescriptor(program=program, bindings={"base": 16.0 * i},
+                              surfaces=surfaces)
+              for i in range(4)]
+    with pytest.raises(ExecutionFault,
+                       match=f"shred {shreds[0].shred_id} exceeded {cap} "
+                             r"instructions \(runaway"):
+        device.run(shreds)
+
+
 class TestCorruptedBinaries:
     def test_truncated_section_rejected(self):
         blob = bytearray(__import__("repro.isa.encoding",
